@@ -4,7 +4,9 @@ Cones are stored combinatorially as sorted tuples of ray indices;
 geometry is reconstructed from the primitive ray vectors on demand.
 Simplicial fans get exact pairwise-intersection validation (Fourier-
 Motzkin over the integers) up to a size guard, then a sampled fallback
-that marks the fan partially validated. Non-simplicial input is
+that marks the fan partially validated. Stellar subdivisions
+(refine.stellar_subdivide) are fans by construction and inherit the
+validation level of the fan they refine. Non-simplicial input is
 accepted only with an explicit full cone list and trust=True.
 """
 
@@ -18,14 +20,13 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import FanValidationError, InternalCheckError, NotSimplicialError
 from .intlin import IntMatrix, hnf, matrix_rank, snf
-from .qsolve import FMSizeExceeded, cone_pair_proper, in_simplicial_cone
+from .qsolve import FMSizeExceeded, cone_pair_proper, in_simplicial_cone, solve_unique
 
 # Exact pairwise validation runs below these bounds; above them the
 # sampled fallback is used and the fan is marked "partially validated".
 FULL_VALIDATION_MAX_RANK = 4
 FULL_VALIDATION_MAX_PAIRS = 2000
 _SAMPLES_PER_CONE = 20
-_COVER_SAMPLES = 40
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -278,11 +279,18 @@ def star(fan: Fan, tau: ConeRef) -> tuple[tuple[ConeRef, ...], tuple[int, ...]]:
 def is_complete(fan: Fan) -> bool:
     """Exact completeness test for simplicial fans.
 
-    Checks full-dimensional maximal cones, every ridge shared by exactly
-    two maximal cones, and a connected adjacency graph; a seeded sampled
-    cover check guards the positive verdict. Non-simplicial fans are
-    only handled through an explicit completeness assertion in their
-    metadata.
+    The maximal cones form a complete fan iff every maximal cone is
+    full-dimensional, every ridge lies in exactly two maximal cones,
+    the two rays opposite each ridge lie on opposite sides of it, and
+    the ray sum of the first maximal cone lies in no other maximal
+    cone. The criterion is exact (De Loera-Rambau-Santos,
+    *Triangulations*, ch. 4): the first three conditions keep the
+    number of cones covering a generic point unchanged across every
+    ridge, so that number is the same everywhere, and the last one
+    fixes it at one around an interior point of the first cone. It
+    assumes no pairwise validation, so trusted input that is not a fan
+    is answered False. Non-simplicial fans are only handled through an
+    explicit completeness assertion in their metadata.
     """
     if not fan.simplicial:
         if fan.asserted_complete is not None:
@@ -290,54 +298,25 @@ def is_complete(fan: Fan) -> bool:
         raise NotSimplicialError(
             "completeness is only decided for simplicial fans; "
             "assert it via metadata for non-simplicial input")
-    maximal = [c for c in fan.maximal_cones if c.ray_indices]
+    maximal = [c.ray_indices for c in fan.maximal_cones if c.ray_indices]
     if not maximal:
         return fan.rank == 0
-    if any(c.dim != fan.rank for c in maximal):
+    if any(len(mc) != fan.rank for mc in maximal):
         return False
-    ridge_hits = {}
-    for c in fan.cones:
-        if c.dim == fan.rank - 1:
-            ridge_hits[c.ray_indices] = []
-    for ridge in ridge_hits:
-        rs = set(ridge)
-        for mc in maximal:
-            if rs <= set(mc.ray_indices):
-                ridge_hits[ridge].append(mc.ray_indices)
-    if any(len(hits) != 2 for hits in ridge_hits.values()):
-        return False
-    # Connectivity of the facet-adjacency graph.
-    index = {mc.ray_indices: i for i, mc in enumerate(maximal)}
-    seen = {0}
-    queue = [0]
-    adj = {i: set() for i in range(len(maximal))}
-    for hits in ridge_hits.values():
-        a, b = index[hits[0]], index[hits[1]]
-        adj[a].add(b)
-        adj[b].add(a)
-    while queue:
-        cur = queue.pop()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    if len(seen) != len(maximal):
-        return False
-    _cover_cross_check(fan, maximal)
-    return True
-
-
-def _cover_cross_check(fan: Fan, maximal) -> None:
-    """Sampled points must land in some maximal cone when the fan looks complete."""
-    rng = random.Random(0xC0FFEE)
-    cone_vecs = [[fan.rays[i] for i in mc.ray_indices] for mc in maximal]
-    for _ in range(_COVER_SAMPLES):
-        x = tuple(rng.randint(-9, 9) for _ in range(fan.rank))
-        if not any(x):
-            continue
-        if not any(in_simplicial_cone(vecs, x) for vecs in cone_vecs):
-            raise InternalCheckError(
-                f"completeness verdict contradicted: point {x} is uncovered")
+    opposite = {}
+    for mc in maximal:
+        for i in mc:
+            opposite.setdefault(tuple(j for j in mc if j != i), []).append(i)
+    for ridge, rays in opposite.items():
+        if len(rays) != 2:
+            return False
+        a, b = rays
+        coeffs = solve_unique([fan.rays[i] for i in ridge + (a,)], fan.rays[b])
+        if coeffs[-1] >= 0:
+            return False
+    x = tuple(map(sum, zip(*(fan.rays[i] for i in maximal[0]))))
+    return not any(in_simplicial_cone([fan.rays[i] for i in mc], x)
+                   for mc in maximal[1:])
 
 
 def localize(fan: Fan, tau: ConeRef) -> QuotientFan:

@@ -277,14 +277,12 @@ class Sublattice:
 
     The constructor accepts any generating set; the stored basis is the
     canonical HNF of the generators with zero rows dropped, so equal
-    sublattices have bit-identical bases. Optional coordinate labels are
-    carried as metadata and ignored by equality.
+    sublattices have bit-identical bases.
     """
 
-    __slots__ = ("ambient_rank", "basis", "labels", "_pivots")
+    __slots__ = ("ambient_rank", "basis", "_pivots")
 
-    def __init__(self, ambient_rank: int, generators: Iterable[Sequence[int]] = (),
-                 labels: Optional[Sequence] = None):
+    def __init__(self, ambient_rank: int, generators: Iterable[Sequence[int]] = ()):
         if ambient_rank < 0:
             raise ValueError("ambient_rank must be nonnegative")
         gens = IntMatrix(generators, cols=ambient_rank)
@@ -294,11 +292,6 @@ class Sublattice:
         body = [row for row in h.entries if any(row)]
         self.ambient_rank = ambient_rank
         self.basis = IntMatrix(body, cols=ambient_rank)
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != ambient_rank:
-                raise ValueError("labels must match ambient rank")
-        self.labels = labels
         self._pivots = tuple(next(j for j, x in enumerate(row) if x) for row in body)
 
     @property
@@ -393,7 +386,7 @@ def saturation(lattice: Sublattice) -> Sublattice:
     """
     orth = integer_kernel(lattice.basis)
     sat = integer_kernel(orth.basis)
-    return Sublattice(lattice.ambient_rank, sat.basis_rows, labels=lattice.labels)
+    return Sublattice(lattice.ambient_rank, sat.basis_rows)
 
 
 def sublattice_index(lattice: Sublattice) -> Optional[int]:

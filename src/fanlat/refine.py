@@ -62,6 +62,10 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
     combination of sigma's rays (exact check) and must not duplicate an
     existing ray. Every maximal cone containing sigma is replaced by its
     joins with w over the facets of sigma.
+
+    A stellar subdivision of a fan is a fan (Cox-Little-Schenck, *Toric
+    Varieties*, 11.1), so the refined fan is not validated again: it
+    carries over the input's validation level and warnings.
     """
     if not fan.simplicial:
         raise NotSimplicialError("stellar subdivision requires a simplicial fan")
@@ -85,9 +89,12 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
                 new_maximal.append(tuple(sorted((mset - {rho}) | {new_index})))
         else:
             new_maximal.append(mc.ray_indices)
-    return build_fan(fan.rank, list(fan.rays) + [w], new_maximal,
-                     name=f"{fan.name}/stellar" if fan.name else None,
-                     assert_complete=fan.asserted_complete)
+    refined = build_fan(fan.rank, list(fan.rays) + [w], new_maximal, trust=True,
+                        name=f"{fan.name}/stellar" if fan.name else None,
+                        assert_complete=fan.asserted_complete)
+    refined.validation = fan.validation
+    refined.warnings = fan.warnings
+    return refined
 
 
 def refinement_injection(before: Fan, after: Fan, r: Sequence[int]) -> tuple[int, ...]:

@@ -99,6 +99,16 @@ class TestReport:
         assert report["ray_lattice"]["index"] == "2"
         assert report["complete"] is False
 
+    def test_trusted_folded_fan_not_complete(self, capsys, tmp_path):
+        path = tmp_path / "folded.json"
+        path.write_text(json.dumps({
+            "rank": 2, "rays": [[1, 0], [0, 1], [1, 1]],
+            "maximal_cones": [[0, 1], [1, 2], [0, 2]],
+        }))
+        code, out, _ = run(capsys, "report", str(path), "--trust")
+        assert code == 0
+        assert '"complete": false' in out
+
 
 class TestDepthCommand:
     def test_oracle_confirmed(self, capsys, p2_file):

@@ -146,6 +146,20 @@ class TestIsComplete:
         fan = build_fan(2, [(1, 0)], [(0,)])
         assert not is_complete(fan)
 
+    def test_trusted_folded_triangle_not_complete(self):
+        # Across ridges (0,) and (1,) both opposite rays lie on one side.
+        fan = build_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (0, 2)],
+                        trust=True)
+        assert is_complete(fan) is False
+
+    def test_trusted_twice_wound_not_complete(self):
+        # Five cones wind twice around the origin: every ridge is proper,
+        # but each generic point is covered twice.
+        rays = [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)]
+        fan = build_fan(2, rays, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
+                        trust=True)
+        assert is_complete(fan) is False
+
 
 class TestLocalize:
     def test_p2_at_ray(self):

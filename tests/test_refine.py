@@ -5,7 +5,7 @@ import pytest
 import oracles
 from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError, NotARelationError
-from fanlat.fan import is_complete
+from fanlat.fan import build_fan, is_complete
 from fanlat.lattices import SupportPolicy, rel_lattice
 from fanlat.refine import (conjecture_scan, random_stellar_draw,
                            refinement_injection, stellar_subdivide)
@@ -49,6 +49,28 @@ class TestStellarSubdivide:
         fan = catalog_entry("p2").fan
         refined = stellar_subdivide(fan, fan.cone((0, 1)), (2, 2))
         assert refined.rays[-1] == (1, 1)
+
+    def test_validation_carried_over_from_full(self):
+        fan = catalog_entry("p2").fan
+        refined = stellar_subdivide(fan, fan.cone((0, 1)), (1, 1))
+        assert refined.validation == "full"
+        assert refined.warnings == ()
+
+    def test_validation_carried_over_from_trusted(self):
+        fan = build_fan(2, [(1, 0), (0, 1), (-1, -1)],
+                        [(0, 1), (1, 2), (0, 2)], trust=True)
+        refined = stellar_subdivide(fan, fan.cone((0, 1)), (1, 1))
+        assert refined.validation == "trusted"
+
+    def test_validation_carried_over_from_partial(self):
+        rays = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (-1, -1, -1, -1, -1)]
+        maximal = [tuple(j for j in range(6) if j != i) for i in range(6)]
+        fan = build_fan(5, rays, maximal)
+        refined = stellar_subdivide(fan, fan.cone((0, 1)), (1, 1, 0, 0, 0))
+        assert refined.validation == "partial"
+        assert refined.warnings == fan.warnings
+        assert any("sampled" in w for w in refined.warnings)
 
     def test_completeness_preserved_across_catalog(self):
         rng = random.Random(99)
