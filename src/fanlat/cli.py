@@ -195,10 +195,10 @@ def cmd_depth(args) -> tuple[dict, int]:
 def cmd_decompose(args) -> tuple[dict, int]:
     fan = load_fan(args.path, trust=args.trust)
     relations = [args.relation] if args.relation else list(rel_lattice(fan).basis_rows)
+    ray_mat = fan.ray_matrix()
     results = []
     for r in relations:
         dec = local_decompose(fan, r)
-        ray_mat = fan.ray_matrix()
         pieces = [{"ray": i, "vector": enc_vector(vec)} for i, vec in sorted(dec.pieces.items())]
         total = [0] * len(fan.rays)
         for vec in dec.pieces.values():

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: semantic failures (invalid fan,
-bad relation, precondition violations) exit 1, file/schema problems
-exit 2, internal invariant breaches exit 3.
+bad relation, precondition violations, a relation with no local
+decomposition) exit 1, file/schema problems exit 2, internal invariant
+breaches exit 3.
 """
 
 
@@ -26,13 +27,13 @@ class NotARelationError(FanValidationError):
     """A vector claimed to be a relation does not annihilate the rays."""
 
 
+class NotLocallyGeneratedError(FanValidationError):
+    """A relation outside inclusive level n-1: it has no local decomposition."""
+
+
 class FanFileError(FanlatError):
     """A fan file failed to parse or violates the file schema."""
 
 
 class InternalCheckError(FanlatError):
     """An internal invariant failed; indicates a bug, not bad input."""
-
-
-class RoutingError(InternalCheckError):
-    """Correction mass could not be routed during local decomposition."""

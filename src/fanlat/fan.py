@@ -75,7 +75,7 @@ class Fan:
     """Validated rational fan: primitive rays plus a face-closed cone set."""
 
     __slots__ = ("rank", "rays", "simplicial", "name", "asserted_complete",
-                 "validation", "warnings", "_cones", "_maximal")
+                 "validation", "warnings", "_cones", "_maximal", "_complete")
 
     def __init__(self, rank, rays, cones, simplicial, name=None,
                  asserted_complete=None, validation="full", warnings=()):
@@ -88,6 +88,7 @@ class Fan:
         self.validation = validation
         self.warnings = tuple(warnings)
         self._maximal = None
+        self._complete = None
 
     @property
     def cones(self) -> tuple[ConeRef, ...]:
@@ -136,6 +137,16 @@ class Fan:
         label = f" {self.name!r}" if self.name else ""
         return (f"Fan{label}(rank {self.rank}, {len(self.rays)} rays, "
                 f"{len(self._cones)} cones)")
+
+
+def simplicial_faces(rank: int, maximal_cones: Sequence[tuple[int, ...]]) -> dict:
+    """Face map of a simplicial fan: every subset of a maximal cone, by sorted key."""
+    cone_map = {(): ConeRef((), 0, rank)}
+    for c in maximal_cones:
+        for size in range(1, len(c) + 1):
+            for face in combinations(c, size):
+                cone_map.setdefault(face, ConeRef(face, size, rank - size))
+    return cone_map
 
 
 def _cone_dim(ray_vectors, idxs) -> int:
@@ -189,14 +200,9 @@ def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
     warnings = []
 
     if simplicial:
-        cone_map = {(): ConeRef((), 0, rank)}
-        for c in gens:
-            for size in range(1, len(c) + 1):
-                for face in combinations(c, size):
-                    cone_map.setdefault(face, ConeRef(face, size, rank - size))
-        validation = "trusted" if trust else None
-        fan = Fan(rank, rays, cone_map, True, name=name,
-                  asserted_complete=assert_complete, validation=validation or "full")
+        fan = Fan(rank, rays, simplicial_faces(rank, gens), True, name=name,
+                  asserted_complete=assert_complete,
+                  validation="trusted" if trust else "full")
         if not trust:
             level = _validate_pairwise(fan)
             fan.validation = level
@@ -289,8 +295,9 @@ def is_complete(fan: Fan) -> bool:
     ridge, so that number is the same everywhere, and the last one
     fixes it at one around an interior point of the first cone. It
     assumes no pairwise validation, so trusted input that is not a fan
-    is answered False. Non-simplicial fans are only handled through an
-    explicit completeness assertion in their metadata.
+    is answered False. The verdict is cached on the fan. Non-simplicial
+    fans are only handled through an explicit completeness assertion in
+    their metadata.
     """
     if not fan.simplicial:
         if fan.asserted_complete is not None:
@@ -298,6 +305,12 @@ def is_complete(fan: Fan) -> bool:
         raise NotSimplicialError(
             "completeness is only decided for simplicial fans; "
             "assert it via metadata for non-simplicial input")
+    if fan._complete is None:
+        fan._complete = _covers_once(fan)
+    return fan._complete
+
+
+def _covers_once(fan: Fan) -> bool:
     maximal = [c.ray_indices for c in fan.maximal_cones if c.ray_indices]
     if not maximal:
         return fan.rank == 0

@@ -3,22 +3,23 @@
 Level k of the filtration is the sublattice generated by star-supported
 relations of all nonzero cones of codimension at most k. The depth of a
 relation is the smallest level containing it (None when no level does,
-which happens on non-complete fans and under the exclusive policy).
+which happens on non-complete fans, under the exclusive policy, and on
+some complete fans whose relations are not all locally generated).
 
-local_decompose implements the generation argument constructively: a
-global relation is split into pieces, one per ray, each a relation
-supported inside that ray's star. Correction mass is pushed between
-overlapping stars along shortest admissible chains until every piece is
-a relation on its own.
+local_decompose writes a global relation as a sum of pieces, one per
+ray, each a relation supported inside that ray's star. Inclusive level
+n-1 is the sum of the rays' star-kernel lattices, so this is one exact
+integer solve over their concatenated bases; a relation with no
+solution provably lies outside level n-1 and is reported as such.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import NotARelationError, NotCompleteError, NotSimplicialError, RoutingError
+from .errors import (InternalCheckError, NotARelationError, NotCompleteError,
+                     NotLocallyGeneratedError, NotSimplicialError)
 from .fan import ConeRef, Fan, is_complete, star
 from .intlin import IntMatrix, Sublattice, lattice_equal, lattice_sum, member, solve_columns
 from .lattices import RelLattice, SupportPolicy, rel_lattice, rel_lattice_star
@@ -120,9 +121,9 @@ def depth(fan: Fan, r: Sequence[int], policy: SupportPolicy) -> Optional[int]:
 def check_generation(fan: Fan, policy: SupportPolicy) -> GenerationReport:
     """Compare the top filtration levels against the full relation lattice.
 
-    On complete fans the inclusive policy is expected to generate
-    everything by codimension n-1 ("local generation"); the report says
-    whether the chosen policy actually did.
+    On complete fans local generation asks the inclusive policy to
+    generate everything by codimension n-1; the report says whether the
+    chosen policy actually did (some complete fans violate it).
     """
     profile = filtration(fan, policy)
     rel = profile.relation_lattice.sublattice
@@ -141,40 +142,27 @@ def check_generation(fan: Fan, policy: SupportPolicy) -> GenerationReport:
         violates_local_generation=complete and not pen_ok)
 
 
-def _star_ray_sets(fan: Fan) -> list[frozenset[int]]:
-    sets = []
-    for i in range(len(fan.rays)):
-        _, ray_set = star(fan, fan.cone((i,)))
-        sets.append(frozenset(ray_set))
-    return sets
-
-
-def _ray_submatrix(fan: Fan, support: Sequence[int]) -> IntMatrix:
-    return IntMatrix.from_columns([fan.rays[i] for i in support], height=fan.rank)
-
-
 def local_decompose(fan: Fan, r: Sequence[int]) -> Decomposition:
     """Split a global relation into star-supported relation pieces.
 
-    Start with each coordinate of r sitting in its own ray's slot, then
-    sweep the rays in input order: a slot whose piece fails to be a
-    relation pushes its defect along a shortest chain of overlapping
-    stars to a later slot, re-expressed at each hop over the shared
-    rays. A chain edge is usable only when the shared-star ray lattice
-    actually contains the defect; if no chain works, the defect is split
-    into single-ray summands and each is routed on its own. Complete
-    fans are required; a routing dead end raises RoutingError and should
-    be treated as a bug.
+    A cone containing ray i has its star inside the star of i, so
+    inclusive level n-1 is the sum of the rays' star-kernel lattices.
+    One integer solve writes r over the concatenated kernel bases of
+    every ray; piece i collects ray i's share, so each piece is a
+    relation supported inside that ray's star by construction. A
+    relation inside a single star is returned whole at the first such
+    ray. Complete fans are required. When the solve has no integer
+    solution, that is a certificate that r lies outside inclusive level
+    n-1, and NotLocallyGeneratedError is raised.
     """
     if not is_complete(fan):
         raise NotCompleteError("local decomposition requires a complete fan")
-    rel = rel_lattice(fan)
-    r = _require_relation(fan, r, rel)
+    r = _require_relation(fan, r, rel_lattice(fan))
     if not any(r):
         return Decomposition(relation=r, pieces={})
 
     m = len(fan.rays)
-    stars = _star_ray_sets(fan)
+    stars = [frozenset(star(fan, fan.cone((i,)))[1]) for i in range(m)]
     support = [i for i in range(m) if r[i]]
 
     # A relation inside a single star is already a valid one-piece answer.
@@ -182,102 +170,34 @@ def local_decompose(fan: Fan, r: Sequence[int]) -> Decomposition:
         if all(j in stars[i] for j in support):
             return Decomposition(relation=r, pieces={i: r})
 
-    slots = [[0] * m for _ in range(m)]
-    for i in support:
-        slots[i][i] = r[i]
-
-    neighbors = [
-        sorted(j for j in range(m) if j != i and stars[i] & stars[j])
-        for i in range(m)
-    ]
-    ray_mat = fan.ray_matrix()
-
-    admissible_cache: dict[tuple[frozenset, tuple], bool] = {}
-
-    def admissible(a: int, b: int, defect: tuple[int, ...]) -> bool:
-        shared = stars[a] & stars[b]
-        key = (shared, defect)
-        hit = admissible_cache.get(key)
-        if hit is None:
-            sub = Sublattice(fan.rank, [fan.rays[i] for i in sorted(shared)])
-            hit = member(defect, sub)
-            admissible_cache[key] = hit
-        return hit
-
-    def find_chain(src: int, defect: tuple[int, ...]) -> Optional[list[int]]:
-        """Shortest chain over admissible edges from src to any later ray."""
-        parent = {src: None}
-        frontier = deque([src])
-        while frontier:
-            level_targets = [v for v in frontier if v > src]
-            if level_targets:
-                best = min(level_targets)
-                chain = [best]
-                while parent[chain[-1]] is not None:
-                    chain.append(parent[chain[-1]])
-                return list(reversed(chain))
-            nxt = deque()
-            for v in frontier:
-                for w in neighbors[v]:
-                    if w not in parent and admissible(v, w, defect):
-                        parent[w] = v
-                        nxt.append(w)
-            frontier = nxt
-        return None
-
-    def push(chain: list[int], defect: tuple[int, ...]) -> None:
-        for a, b in zip(chain, chain[1:]):
-            shared = sorted(stars[a] & stars[b])
-            y = solve_columns(_ray_submatrix(fan, shared), defect)
-            if y is None:
-                raise RoutingError(
-                    f"admissible hop {a}->{b} failed to express defect {defect}")
-            for pos, i in enumerate(shared):
-                slots[a][i] -= y[pos]
-                slots[b][i] += y[pos]
-
-    for k in range(m):
-        defect = ray_mat.mul_vector(slots[k])
-        if not any(defect):
-            continue
-        if k == m - 1:
-            raise RoutingError("last slot carries a nonzero defect; sum invariant broken")
-        chain = find_chain(k, defect)
-        if chain is not None:
-            push(chain, defect)
-            continue
-        # Split the defect into single-ray summands and route each.
-        moved = False
-        snapshot = list(slots[k])
-        for c in range(m):
-            if snapshot[c] == 0:
-                continue
-            part = tuple(snapshot[c] * x for x in fan.rays[c])
-            sub_chain = find_chain(k, part)
-            if sub_chain is None:
-                raise RoutingError(
-                    f"no admissible route for the {c}-summand of slot {k}")
-            push(sub_chain, part)
-            moved = True
-        if not moved or any(ray_mat.mul_vector(slots[k])):
-            raise RoutingError(f"slot {k} still carries a defect after routing")
-
-    pieces = {}
+    owners, columns = [], []
     for i in range(m):
-        if any(slots[i]):
-            pieces[i] = tuple(slots[i])
+        local = rel_lattice_star(fan, fan.cone((i,)), SupportPolicy.INCLUSIVE)
+        owners.extend([i] * local.rank)
+        columns.extend(local.basis_rows)
+    coeffs = solve_columns(IntMatrix.from_columns(columns, height=m), r)
+    if coeffs is None:
+        raise NotLocallyGeneratedError(
+            f"{r} lies outside inclusive filtration level {fan.rank - 1}: "
+            "it is not a sum of relations supported on ray stars")
 
-    _verify_decomposition(fan, r, pieces, stars, ray_mat)
+    sums = [[0] * m for _ in range(m)]
+    for i, c, col in zip(owners, coeffs, columns):
+        if c:
+            sums[i] = [a + c * b for a, b in zip(sums[i], col)]
+    pieces = {i: tuple(piece) for i, piece in enumerate(sums) if any(piece)}
+
+    _verify_decomposition(r, pieces, stars, fan.ray_matrix())
     return Decomposition(relation=r, pieces=pieces)
 
 
-def _verify_decomposition(fan, r, pieces, stars, ray_mat) -> None:
+def _verify_decomposition(r, pieces, stars, ray_mat) -> None:
     total = [0] * len(r)
     for i, piece in pieces.items():
         if any(ray_mat.mul_vector(piece)):
-            raise RoutingError(f"piece at ray {i} is not a relation")
+            raise InternalCheckError(f"piece at ray {i} is not a relation")
         if any(piece[j] and j not in stars[i] for j in range(len(piece))):
-            raise RoutingError(f"piece at ray {i} leaves its star support")
+            raise InternalCheckError(f"piece at ray {i} leaves its star support")
         total = [a + b for a, b in zip(total, piece)]
     if tuple(total) != tuple(r):
-        raise RoutingError("pieces do not sum to the relation")
+        raise InternalCheckError("pieces do not sum to the relation")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import FanValidationError, NotARelationError, NotCompleteError, NotSimplicialError
-from .fan import ConeRef, Fan, build_fan, is_complete, primitive
+from .fan import ConeRef, Fan, is_complete, primitive, simplicial_faces
 from .filtration import filtration
 from .intlin import member
 from .lattices import SupportPolicy, rel_lattice
@@ -64,8 +64,11 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
     joins with w over the facets of sigma.
 
     A stellar subdivision of a fan is a fan (Cox-Little-Schenck, *Toric
-    Varieties*, 11.1), so the refined fan is not validated again: it
-    carries over the input's validation level and warnings.
+    Varieties*, 11.1), so the refined fan is not validated again: it is
+    built straight from its simplicial faces (the new ray is primitive,
+    and each new cone stays simplicial because w has a nonzero
+    coefficient on the ray it replaces) and carries over the input's
+    validation level and warnings.
     """
     if not fan.simplicial:
         raise NotSimplicialError("stellar subdivision requires a simplicial fan")
@@ -89,12 +92,10 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
                 new_maximal.append(tuple(sorted((mset - {rho}) | {new_index})))
         else:
             new_maximal.append(mc.ray_indices)
-    refined = build_fan(fan.rank, list(fan.rays) + [w], new_maximal, trust=True,
-                        name=f"{fan.name}/stellar" if fan.name else None,
-                        assert_complete=fan.asserted_complete)
-    refined.validation = fan.validation
-    refined.warnings = fan.warnings
-    return refined
+    return Fan(fan.rank, fan.rays + (w,), simplicial_faces(fan.rank, new_maximal), True,
+               name=f"{fan.name}/stellar" if fan.name else None,
+               asserted_complete=fan.asserted_complete, validation=fan.validation,
+               warnings=fan.warnings)
 
 
 def refinement_injection(before: Fan, after: Fan, r: Sequence[int]) -> tuple[int, ...]:

@@ -152,6 +152,31 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", str(path), "--relation", "0,0")
         assert code == 1
 
+    def test_p2_refinement_decomposes(self, capsys, tmp_path):
+        path = tmp_path / "p2_refined.json"
+        path.write_text(json.dumps({
+            "rank": 2,
+            "rays": [[1, 0], [0, 1], [-1, -1], [3, 1], [-2, -1], [-6, -1], [-1, 0]],
+            "maximal_cones": [[0, 2], [0, 3], [1, 3], [1, 6], [2, 4], [4, 5], [5, 6]],
+        }))
+        code, report, _ = run_json(capsys, "decompose", str(path),
+                                   "--relation", "1,0,0,0,0,0,1")
+        assert code == 0
+        assert report["results"][0]["checks"] == {"sum_matches": True,
+                                                  "pieces_are_relations": True}
+
+    def test_not_locally_generated_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "hexagon.json"
+        path.write_text(json.dumps({
+            "rank": 2,
+            "rays": [[-2, -1], [-1, -2], [1, -2], [1, 0], [1, 2], [-1, 2]],
+            "maximal_cones": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]],
+        }))
+        code, out, err = run(capsys, "decompose", str(path), "--relation", "2,0,0,1,2,-1")
+        assert code == 1
+        assert out == ""
+        assert "outside inclusive filtration level 1" in err
+
 
 class TestLocalize:
     def test_codim_one_cone(self, capsys, p2xp1_file):

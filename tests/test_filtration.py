@@ -1,8 +1,10 @@
+import importlib
+
 import pytest
 
 import oracles
 from fanlat.corpus import catalog, catalog_entry
-from fanlat.errors import NotARelationError, NotCompleteError
+from fanlat.errors import NotARelationError, NotCompleteError, NotLocallyGeneratedError
 from fanlat.fan import build_fan, star
 from fanlat.filtration import (check_generation, depth, filtration,
                                local_decompose)
@@ -13,6 +15,19 @@ INC = SupportPolicy.INCLUSIVE
 EXC = SupportPolicy.EXCLUSIVE
 
 COMPLETE_NAMES = ("p2", "p1xp1", "p3", "p2xp1", "blowup_p2", "sigma_c")
+
+
+def p2_refinement_fan():
+    """Seven-ray refinement of p2 whose relations need many stars."""
+    return build_fan(2, [(1, 0), (0, 1), (-1, -1), (3, 1), (-2, -1), (-6, -1), (-1, 0)],
+                     [(0, 2), (0, 3), (1, 3), (1, 6), (2, 4), (4, 5), (5, 6)],
+                     name="p2-refined")
+
+
+def hexagon_fan():
+    """Complete rank-2 fan with a relation outside inclusive level 1."""
+    rays = [(-2, -1), (-1, -2), (1, -2), (1, 0), (1, 2), (-1, 2)]
+    return build_fan(2, rays, [(i, (i + 1) % 6) for i in range(6)], name="hexagon")
 
 
 def diamond_fan():
@@ -216,6 +231,39 @@ class TestLocalDecompose:
                 if not any(r):
                     continue
                 self.verify(fan, r, local_decompose(fan, r))
+
+    def test_p2_refinement_every_relation(self):
+        fan = p2_refinement_fan()
+        basis = rel_lattice(fan).basis_rows
+        assert basis[0] == (1, 0, 0, 0, 0, 0, 1)
+        assert depth(fan, basis[0], INC) == 1
+        for row in basis:
+            self.verify(fan, row, local_decompose(fan, row))
+
+    def test_one_solve_per_multi_star_relation(self, monkeypatch):
+        # the package exports the function filtration under the module's name
+        filtration_module = importlib.import_module("fanlat.filtration")
+        calls = []
+        real = filtration_module.solve_columns
+
+        def counting(m, target):
+            calls.append(target)
+            return real(m, target)
+
+        monkeypatch.setattr(filtration_module, "solve_columns", counting)
+        fan = p2_refinement_fan()
+        local_decompose(fan, (1, 0, 0, 0, 0, 0, 1))
+        assert len(calls) == 1
+        local_decompose(catalog_entry("p2").fan, (1, 1, 1))  # one star holds it
+        local_decompose(fan, (0,) * 7)
+        assert len(calls) == 1
+
+    def test_relation_outside_penultimate_level(self):
+        fan = hexagon_fan()
+        r = (2, 0, 0, 1, 2, -1)
+        assert check_generation(fan, INC).violates_local_generation
+        with pytest.raises(NotLocallyGeneratedError):
+            local_decompose(fan, r)
 
     def test_requires_complete_fan(self):
         with pytest.raises(NotCompleteError):
