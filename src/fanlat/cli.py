@@ -30,6 +30,16 @@ def _parse_vector(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
 
 
+def _count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative count, got {n}")
+    return n
+
+
 def _policies(choice: str) -> list[SupportPolicy]:
     if choice == "both":
         return [SupportPolicy.INCLUSIVE, SupportPolicy.EXCLUSIVE]
@@ -375,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="write the refined fan file here")
     p = fan_command("conjecture", "seeded monotonicity scan", needs_policy=True,
                     policy_default="inclusive")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     fan_command("classgroup", "divisor class group from the dual ray map")
     p = sub.add_parser("catalog", help="list or export the built-in fans")

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import FanValidationError, InternalCheckError, NotSimplicialError
-from .intlin import IntMatrix, hnf, matrix_rank, snf
+from .intlin import IntMatrix, hnf_basis, matrix_rank, snf
 from .qsolve import FMSizeExceeded, cone_pair_proper, in_simplicial_cone, solve_unique
 
 # Exact pairwise validation runs below these bounds; above them the
@@ -72,10 +72,18 @@ class QuotientFan:
 
 
 class Fan:
-    """Validated rational fan: primitive rays plus a face-closed cone set."""
+    """Validated rational fan: primitive rays plus a face-closed cone set.
+
+    Nothing changes rays or the cone set after construction (stellar
+    subdivision and unimodular images build new fans), so every
+    invariant derived from them is computed once and kept in the fan's
+    private cache: the sorted and maximal cones, completeness, the
+    relation lattice, stars, star kernels and filtration profiles. A
+    new fan starts with an empty cache.
+    """
 
     __slots__ = ("rank", "rays", "simplicial", "name", "asserted_complete",
-                 "validation", "warnings", "_cones", "_maximal", "_complete")
+                 "validation", "warnings", "_cones", "_memo")
 
     def __init__(self, rank, rays, cones, simplicial, name=None,
                  asserted_complete=None, validation="full", warnings=()):
@@ -87,24 +95,33 @@ class Fan:
         self.asserted_complete = asserted_complete
         self.validation = validation
         self.warnings = tuple(warnings)
-        self._maximal = None
-        self._complete = None
+        self._memo = {}
+
+    def _cached(self, key, build):
+        """The value cached under key, built by build() on first use."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     @property
     def cones(self) -> tuple[ConeRef, ...]:
-        return tuple(sorted(self._cones.values(), key=ConeRef.sort_key))
+        return self._cached("cones", lambda: tuple(
+            sorted(self._cones.values(), key=ConeRef.sort_key)))
 
     @property
     def maximal_cones(self) -> tuple[ConeRef, ...]:
-        if self._maximal is None:
-            keys = list(self._cones)
-            maximal = []
-            for k in keys:
-                sk = set(k)
-                if not any(sk < set(other) for other in keys):
-                    maximal.append(self._cones[k])
-            self._maximal = tuple(sorted(maximal, key=ConeRef.sort_key))
-        return self._maximal
+        return self._cached("maximal", self._find_maximal)
+
+    def _find_maximal(self) -> tuple[ConeRef, ...]:
+        keys = list(self._cones)
+        maximal = []
+        for k in keys:
+            sk = set(k)
+            if not any(sk < set(other) for other in keys):
+                maximal.append(self._cones[k])
+        return tuple(sorted(maximal, key=ConeRef.sort_key))
 
     @property
     def zero_cone(self) -> ConeRef:
@@ -274,9 +291,13 @@ def _validate_pairwise_sampled(fan: Fan, pairs) -> None:
 
 def star(fan: Fan, tau: ConeRef) -> tuple[tuple[ConeRef, ...], tuple[int, ...]]:
     """All cones having tau as a face, plus the union of their ray indices."""
-    if not fan.has_cone(tau.ray_indices):
+    key = tuple(sorted(tau.ray_indices))
+    if not fan.has_cone(key):
         raise FanValidationError(f"cone {tau.ray_indices} is not in the fan")
-    t = set(tau.ray_indices)
+    return fan._cached(("star", key), lambda: _star(fan, set(key)))
+
+
+def _star(fan: Fan, t: set) -> tuple[tuple[ConeRef, ...], tuple[int, ...]]:
     members = [c for c in fan.cones if t <= set(c.ray_indices)]
     ray_set = sorted({i for c in members for i in c.ray_indices})
     return tuple(members), tuple(ray_set)
@@ -305,9 +326,7 @@ def is_complete(fan: Fan) -> bool:
         raise NotSimplicialError(
             "completeness is only decided for simplicial fans; "
             "assert it via metadata for non-simplicial input")
-    if fan._complete is None:
-        fan._complete = _covers_once(fan)
-    return fan._complete
+    return fan._cached("complete", lambda: _covers_once(fan))
 
 
 def _covers_once(fan: Fan) -> bool:
@@ -373,8 +392,7 @@ def apply_unimodular(fan: Fan, u: IntMatrix) -> Fan:
     """Image fan with rays u @ v; combinatorics are untouched."""
     if u.rows != fan.rank or u.cols != fan.rank:
         raise ValueError(f"transform must be {fan.rank}x{fan.rank}")
-    h, _ = hnf(u)
-    if h != IntMatrix.identity(fan.rank):
+    if hnf_basis(u) != IntMatrix.identity(fan.rank):
         raise ValueError("matrix is not unimodular")
     new_rays = []
     for v in fan.rays:

@@ -74,7 +74,14 @@ class GenerationReport:
 
 
 def filtration(fan: Fan, policy: SupportPolicy) -> FiltrationProfile:
-    """Build every filtration level of the fan under the given policy."""
+    """Every filtration level of the fan under the given policy.
+
+    Built once per policy and cached on the fan.
+    """
+    return fan._cached(("filtration", policy), lambda: _build_filtration(fan, policy))
+
+
+def _build_filtration(fan: Fan, policy: SupportPolicy) -> FiltrationProfile:
     n = fan.rank
     rel = rel_lattice(fan)
     by_codim: dict[int, list] = {k: [] for k in range(n + 1)}

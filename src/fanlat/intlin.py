@@ -1,11 +1,13 @@
 """Exact integer linear algebra on arbitrary-precision integers.
 
-Hermite and Smith normal forms with their unimodular transforms, integer
-kernels, saturation, and canonical sublattice arithmetic. The row-style
-HNF used here (positive pivots, entries above each pivot reduced into
-[0, pivot), zero rows trailing) is the single canonical form of the
-package: two sublattices are equal iff their canonical bases are
-identical tuples.
+Hermite and Smith normal forms, integer kernels, saturation, and
+canonical sublattice arithmetic. snf always returns its unimodular
+transforms; hnf returns the row transform, and hnf_basis runs the same
+elimination without building it, for callers (Sublattice, matrix_rank)
+that only read the form. The row-style HNF used here (positive pivots,
+entries above each pivot reduced into [0, pivot), zero rows trailing)
+is the single canonical form of the package: two sublattices are equal
+iff their canonical bases are identical tuples.
 
 No floats and no rationals enter this module. Membership tests run by
 exact back-substitution against the HNF basis.
@@ -115,6 +117,50 @@ class IntMatrix:
         return f"IntMatrix({list(map(list, self.entries))!r})"
 
 
+def _hermite(m: IntMatrix, transform: bool) -> list[list[int]]:
+    """The one HNF elimination loop, on the rows of m or of [m | I].
+
+    Pivots are searched and every multiplier is computed in the first
+    m.cols columns only, so appending the identity carries the
+    unimodular transform along without changing h.
+    """
+    if transform:
+        rows = [list(row) + [1 if i == j else 0 for j in range(m.rows)]
+                for i, row in enumerate(m.entries)]
+    else:
+        rows = [list(row) for row in m.entries]
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        piv = next((i for i in range(r, m.rows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, m.rows):
+            if rows[i][c]:
+                a, b = rows[r][c], rows[i][c]
+                if b % a == 0:
+                    # plain shear keeps the pivot row intact
+                    q = b // a
+                    rows[i] = [t - q * s for s, t in zip(rows[r], rows[i])]
+                else:
+                    g, x, y = xgcd(a, b)
+                    p, q = a // g, b // g
+                    rr, ri = rows[r], rows[i]
+                    rows[r] = [x * s + y * t for s, t in zip(rr, ri)]
+                    rows[i] = [p * t - q * s for s, t in zip(rr, ri)]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        for i in range(r):
+            q = rows[i][c] // rows[r][c]
+            if q:
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return rows
+
+
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form: returns (h, u) with u unimodular, h = u @ m.
 
@@ -122,45 +168,14 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     pivot reduced into [0, pivot), and zero rows trailing. The algorithm
     is deterministic, so equal inputs give identical outputs.
     """
-    h = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        piv = next((i for i in range(r, m.rows) if h[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            h[r], h[piv] = h[piv], h[r]
-            u[r], u[piv] = u[piv], u[r]
-        for i in range(r + 1, m.rows):
-            if h[i][c]:
-                a, b = h[r][c], h[i][c]
-                if b % a == 0:
-                    # plain shear keeps the pivot row intact
-                    q = b // a
-                    h[i] = [t - q * s for s, t in zip(h[r], h[i])]
-                    u[i] = [t - q * s for s, t in zip(u[r], u[i])]
-                else:
-                    g, x, y = xgcd(a, b)
-                    p, q = a // g, b // g
-                    for row_pair in (h, u):
-                        rr, ri = row_pair[r], row_pair[i]
-                        for j in range(len(rr)):
-                            s, t = rr[j], ri[j]
-                            rr[j] = x * s + y * t
-                            ri[j] = -q * s + p * t
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
-        for i in range(r):
-            q = h[i][c] // h[r][c]
-            if q:
-                h[i] = [a - q * b for a, b in zip(h[i], h[r])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-        r += 1
-    return IntMatrix(h, cols=m.cols), IntMatrix(u, cols=m.rows)
+    rows = _hermite(m, transform=True)
+    return (IntMatrix([row[:m.cols] for row in rows], cols=m.cols),
+            IntMatrix([row[m.cols:] for row in rows], cols=m.rows))
+
+
+def hnf_basis(m: IntMatrix) -> IntMatrix:
+    """The h of hnf(m), bit-identical, without building the transform."""
+    return IntMatrix(_hermite(m, transform=False), cols=m.cols)
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -268,8 +283,7 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def matrix_rank(m: IntMatrix) -> int:
-    h, _ = hnf(m)
-    return sum(1 for row in h.entries if any(row))
+    return sum(1 for row in hnf_basis(m).entries if any(row))
 
 
 class Sublattice:
@@ -288,8 +302,7 @@ class Sublattice:
         gens = IntMatrix(generators, cols=ambient_rank)
         if gens.cols != ambient_rank:
             raise ValueError(f"generators have length {gens.cols}, ambient rank is {ambient_rank}")
-        h, _ = hnf(gens)
-        body = [row for row in h.entries if any(row)]
+        body = [row for row in hnf_basis(gens).entries if any(row)]
         self.ambient_rank = ambient_rank
         self.basis = IntMatrix(body, cols=ambient_rank)
         self._pivots = tuple(next(j for j, x in enumerate(row) if x) for row in body)

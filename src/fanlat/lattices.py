@@ -77,9 +77,13 @@ def ray_lattice(fan: Fan) -> RayLattice:
 
 
 def rel_lattice(fan: Fan) -> RelLattice:
-    """Kernel of the full ray matrix, labeled by the fan's ray indices."""
-    kernel = integer_kernel(fan.ray_matrix())
-    return RelLattice(ray_labels=tuple(range(len(fan.rays))), sublattice=kernel)
+    """Kernel of the full ray matrix, labeled by the fan's ray indices.
+
+    Computed once per fan and cached on it.
+    """
+    return fan._cached("rel_lattice", lambda: RelLattice(
+        ray_labels=tuple(range(len(fan.rays))),
+        sublattice=integer_kernel(fan.ray_matrix())))
 
 
 def _embedded_kernel(fan: Fan, support: Sequence[int]) -> Sublattice:
@@ -97,9 +101,17 @@ def _embedded_kernel(fan: Fan, support: Sequence[int]) -> Sublattice:
 
 
 def rel_lattice_star(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> RelLattice:
-    """Relations supported on the star of tau, in global ray coordinates."""
+    """Relations supported on the star of tau, in global ray coordinates.
+
+    Computed once per (cone, policy) and cached on the fan.
+    """
     if not tau.ray_indices:
         raise FanValidationError("the zero cone has no star-supported relation lattice")
+    return fan._cached(("rel_lattice_star", tuple(sorted(tau.ray_indices)), policy),
+                       lambda: _star_kernel(fan, tau, policy))
+
+
+def _star_kernel(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> RelLattice:
     _, ray_set = star(fan, tau)
     if policy is SupportPolicy.EXCLUSIVE:
         support = [i for i in ray_set if i not in tau.ray_indices]

@@ -75,7 +75,10 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
     sigma = fan.cone(sigma.ray_indices)
     if not sigma.ray_indices:
         raise FanValidationError("cannot subdivide the zero cone")
-    w = primitive(tuple(w))
+    w = tuple(w)
+    if len(w) != fan.rank:
+        raise FanValidationError(f"ray {w} does not have length {fan.rank}")
+    w = primitive(w)
     if w in fan.rays:
         raise FanValidationError(f"{w} is already a ray of the fan")
     coeffs = solve_unique([fan.rays[i] for i in sigma.ray_indices], w)

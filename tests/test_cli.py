@@ -1,10 +1,13 @@
+import importlib
 import json
+from collections import Counter
 
 import pytest
 
 from fanlat.cli import main
 from fanlat.corpus import catalog_entry
-from fanlat.fanio import fan_to_dict
+from fanlat.fan import star
+from fanlat.fanio import fan_to_dict, load_fan
 
 
 @pytest.fixture
@@ -18,6 +21,17 @@ def p2_file(tmp_path):
 def p2xp1_file(tmp_path):
     path = tmp_path / "p2xp1.json"
     path.write_text(json.dumps(fan_to_dict(catalog_entry("p2xp1").fan)))
+    return str(path)
+
+
+@pytest.fixture
+def p2_refined_file(tmp_path):
+    path = tmp_path / "p2_refined.json"
+    path.write_text(json.dumps({
+        "rank": 2,
+        "rays": [[1, 0], [0, 1], [-1, -1], [3, 1], [-2, -1], [-6, -1], [-1, 0]],
+        "maximal_cones": [[0, 2], [0, 3], [1, 3], [1, 6], [2, 4], [4, 5], [5, 6]],
+    }))
     return str(path)
 
 
@@ -152,14 +166,8 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", str(path), "--relation", "0,0")
         assert code == 1
 
-    def test_p2_refinement_decomposes(self, capsys, tmp_path):
-        path = tmp_path / "p2_refined.json"
-        path.write_text(json.dumps({
-            "rank": 2,
-            "rays": [[1, 0], [0, 1], [-1, -1], [3, 1], [-2, -1], [-6, -1], [-1, 0]],
-            "maximal_cones": [[0, 2], [0, 3], [1, 3], [1, 6], [2, 4], [4, 5], [5, 6]],
-        }))
-        code, report, _ = run_json(capsys, "decompose", str(path),
+    def test_p2_refinement_decomposes(self, capsys, p2_refined_file):
+        code, report, _ = run_json(capsys, "decompose", p2_refined_file,
                                    "--relation", "1,0,0,0,0,0,1")
         assert code == 0
         assert report["results"][0]["checks"] == {"sum_matches": True,
@@ -214,6 +222,13 @@ class TestSubdivide:
         code, _, err = run(capsys, "subdivide", p2_file, "--cone", "0,1", "--ray", "1,0")
         assert code == 1
 
+    @pytest.mark.parametrize("ray", ["1,1,1", "1"])
+    def test_wrong_length_ray(self, capsys, p2_file, ray):
+        code, out, err = run(capsys, "subdivide", p2_file, "--cone", "0,1", "--ray", ray)
+        assert code == 1
+        assert out == ""
+        assert "does not have length 2" in err
+
 
 class TestConjecture:
     def test_deterministic_bytes(self, capsys, p2xp1_file):
@@ -233,6 +248,12 @@ class TestConjecture:
     def test_policy_both_rejected(self, capsys, p2_file):
         code, _, err = run(capsys, "conjecture", p2_file, "--policy", "both")
         assert code == 2
+
+    def test_negative_trials_rejected(self, capsys, p2_file):
+        code, out, err = run(capsys, "conjecture", p2_file, "--trials", "-3")
+        assert code == 2
+        assert out == ""
+        assert "nonnegative" in err
 
 
 class TestClassgroupAndRelations:
@@ -275,6 +296,47 @@ class TestCatalog:
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["no-such-command"]) == 2
+
+
+class TestOneAnalysisPerFan:
+    """Star kernels are computed once per fan, however many commands read them."""
+
+    @pytest.fixture
+    def kernel_supports(self, monkeypatch):
+        lattices = importlib.import_module("fanlat.lattices")
+        real = lattices._embedded_kernel
+        supports = []
+
+        def spy(fan, support):
+            supports.append(tuple(support))
+            return real(fan, support)
+
+        monkeypatch.setattr(lattices, "_embedded_kernel", spy)
+        return supports
+
+    def test_report_computes_each_star_kernel_once(self, capsys, p2xp1_file,
+                                                    kernel_supports):
+        code, _, _ = run(capsys, "report", "--policy", "both", "--trust", p2xp1_file)
+        assert code == 0
+        fan = load_fan(p2xp1_file, trust=True)
+        expected = Counter()
+        for cone in fan.cones:
+            if cone.ray_indices:
+                ray_set = star(fan, cone)[1]
+                expected[ray_set] += 1  # inclusive
+                expected[tuple(i for i in ray_set if i not in cone.ray_indices)] += 1
+        assert kernel_supports
+        assert Counter(kernel_supports) <= expected
+
+    def test_decompose_computes_each_ray_kernel_once(self, capsys, p2_refined_file,
+                                                     kernel_supports):
+        code, report, _ = run_json(capsys, "decompose", p2_refined_file)
+        assert code == 0
+        assert len(report["results"]) == 5
+        fan = load_fan(p2_refined_file)
+        expected = Counter(star(fan, fan.cone((i,)))[1] for i in range(len(fan.rays)))
+        assert kernel_supports
+        assert Counter(kernel_supports) <= expected
 
 
 def test_json_flag_mirrors_stdout(capsys, p2_file, tmp_path):

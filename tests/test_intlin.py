@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from fanlat.intlin import (IntMatrix, Sublattice, coefficients_in, hnf,
+from fanlat.intlin import (IntMatrix, Sublattice, coefficients_in, hnf, hnf_basis,
                            integer_kernel, lattice_equal, lattice_sum,
                            matrix_rank, member, member_by_enumeration,
                            saturation, snf, solve_columns, sublattice_index)
@@ -242,6 +242,7 @@ def run_random_property_suite(num_matrices: int, seed: int = 20260811) -> None:
         width = rng.randint(1, 6)
         m = IntMatrix([[rng.randint(-9, 9) for _ in range(width)] for _ in range(height)])
         h, u = hnf(m)
+        assert hnf_basis(m) == h
         assert (u @ m) == h
         assert oracles.is_unimodular(rows(u))
         assert oracles.is_hnf(rows(h))

@@ -6,6 +6,7 @@ import oracles
 from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError, NotARelationError
 from fanlat.fan import build_fan, is_complete
+from fanlat.filtration import filtration
 from fanlat.lattices import SupportPolicy, rel_lattice
 from fanlat.refine import (conjecture_scan, random_stellar_draw,
                            refinement_injection, stellar_subdivide)
@@ -44,6 +45,22 @@ class TestStellarSubdivide:
         assert len(refined.rays) == 5
         assert len(refined.maximal_cones) == 6
         assert is_complete(refined)
+
+    def test_wrong_length_ray_rejected(self):
+        fan = catalog_entry("p2").fan
+        for w in ((1, 1, 1), (1,)):
+            with pytest.raises(FanValidationError, match="does not have length 2"):
+                stellar_subdivide(fan, fan.cone((0, 1)), w)
+
+    def test_refined_fan_has_its_own_cache(self):
+        fan = build_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+        before = filtration(fan, INC)
+        refined = stellar_subdivide(fan, fan.cone((0, 1)), (1, 1))
+        after = filtration(refined, INC)
+        assert after is not before
+        assert after.relation_lattice.sublattice.ambient_rank == 4
+        assert after.level_ranks == (0, 2, 2)
+        assert rel_lattice(refined).rank == 2
 
     def test_input_ray_normalized(self):
         fan = catalog_entry("p2").fan
