@@ -254,18 +254,21 @@ def cmd_localize(args) -> tuple[dict, int]:
 def cmd_subdivide(args) -> tuple[dict, int]:
     fan = load_fan(args.path, trust=args.trust)
     sigma = fan.cone(args.cone)
-    refined = stellar_subdivide(fan, sigma, args.ray)
     basis = rel_lattice(fan).basis_rows
+    policies = _policies(args.policy)
+    # Depths before the subdivision first, so the refined fan starts from
+    # the star kernels they built.
+    before = {p: [filtration(fan, p).depth_of(r) for r in basis] for p in policies}
+    refined = stellar_subdivide(fan, sigma, args.ray)
     records = []
-    for policy in _policies(args.policy):
-        before = filtration(fan, policy)
+    for policy in policies:
         after = filtration(refined, policy)
-        for r in basis:
+        for r, d in zip(basis, before[policy]):
             padded = refinement_injection(fan, refined, r)
             records.append({
                 "relation": enc_vector(r),
                 "policy": policy.value,
-                "depth_before": enc_depth(before.depth_of(r)),
+                "depth_before": enc_depth(d),
                 "depth_after": enc_depth(after.depth_of(padded)),
             })
     if args.out:

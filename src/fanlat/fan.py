@@ -78,8 +78,9 @@ class Fan:
     subdivision and unimodular images build new fans), so every
     invariant derived from them is computed once and kept in the fan's
     private cache: the sorted and maximal cones, completeness, the
-    relation lattice, stars, star kernels and filtration profiles. A
-    new fan starts with an empty cache.
+    relation lattice, stars, star kernels and filtration levels. A new
+    fan starts with an empty cache, except that a stellar subdivision
+    is seeded with the stars and star kernels it leaves unchanged.
     """
 
     __slots__ = ("rank", "rays", "simplicial", "name", "asserted_complete",

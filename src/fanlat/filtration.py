@@ -6,6 +6,13 @@ relation is the smallest level containing it (None when no level does,
 which happens on non-complete fans, under the exclusive policy, and on
 some complete fans whose relations are not all locally generated).
 
+Levels are built on demand, each from the one below, and cached on the
+fan, so a depth query builds only the levels up to the answer. Two
+exact shortcuts skip work: on a simplicial fan a codim-0 cone's star
+kernel is zero (the cone is its own star and its rays are independent),
+and a level that gains no generator is the level below it, which makes
+level n always level n-1.
+
 local_decompose writes a global relation as a sum of pieces, one per
 ray, each a relation supported inside that ray's star. Inclusive level
 n-1 is the sum of the rays' star-kernel lattices, so this is one exact
@@ -27,20 +34,33 @@ from .lattices import RelLattice, SupportPolicy, rel_lattice, rel_lattice_star
 
 @dataclass(frozen=True)
 class FiltrationProfile:
-    """Filtration levels 0..n with the cones that fed each level.
+    """Filtration levels 0..n of a fan under one policy, built on demand.
 
     contributing[k] lists (cone, star-kernel rank) for the cones of
-    codimension exactly k whose star kernel is nonzero.
+    codimension exactly k whose star kernel is nonzero. Each level is
+    built on first use from the level below it and cached on the fan:
+    depth_of stops at the first level that contains the relation, while
+    levels, contributing and level_ranks build every level.
     """
 
+    fan: Fan
     policy: SupportPolicy
-    levels: tuple[Sublattice, ...]
-    contributing: tuple[tuple[tuple[ConeRef, int], ...], ...]
-    relation_lattice: RelLattice
+
+    @property
+    def levels(self) -> tuple[Sublattice, ...]:
+        return tuple(_level(self.fan, self.policy, k)[0] for k in range(self.fan.rank + 1))
+
+    @property
+    def contributing(self) -> tuple[tuple[tuple[ConeRef, int], ...], ...]:
+        return tuple(_level(self.fan, self.policy, k)[1] for k in range(self.fan.rank + 1))
+
+    @property
+    def relation_lattice(self) -> RelLattice:
+        return rel_lattice(self.fan)
 
     def depth_of(self, relation: Sequence[int]) -> Optional[int]:
-        for k, level in enumerate(self.levels):
-            if member(relation, level):
+        for k in range(self.fan.rank + 1):
+            if member(relation, _level(self.fan, self.policy, k)[0]):
                 return k
         return None
 
@@ -74,36 +94,35 @@ class GenerationReport:
 
 
 def filtration(fan: Fan, policy: SupportPolicy) -> FiltrationProfile:
-    """Every filtration level of the fan under the given policy.
+    """The filtration of the fan under the given policy.
 
-    Built once per policy and cached on the fan.
+    The profile is a view: its levels are built the first time a caller
+    reads them and are cached on the fan, so every profile of one fan
+    and policy shares them.
     """
-    return fan._cached(("filtration", policy), lambda: _build_filtration(fan, policy))
+    return FiltrationProfile(fan, policy)
 
 
-def _build_filtration(fan: Fan, policy: SupportPolicy) -> FiltrationProfile:
-    n = fan.rank
-    rel = rel_lattice(fan)
-    by_codim: dict[int, list] = {k: [] for k in range(n + 1)}
-    for cone in fan.cones:
-        if cone.ray_indices and 0 <= cone.codim <= n:
-            by_codim[cone.codim].append(cone)
-    levels = []
-    contributing = []
-    current = Sublattice(len(fan.rays))
-    for k in range(n + 1):
-        parts = [current]
-        contribs = []
-        for cone in by_codim[k]:
-            local = rel_lattice_star(fan, cone, policy).sublattice
-            if local.rank:
-                contribs.append((cone, local.rank))
-                parts.append(local)
-        current = lattice_sum(parts, ambient_rank=len(fan.rays))
-        levels.append(current)
-        contributing.append(tuple(contribs))
-    return FiltrationProfile(policy=policy, levels=tuple(levels),
-                             contributing=tuple(contributing), relation_lattice=rel)
+def _level(fan: Fan, policy: SupportPolicy, k: int) -> tuple[Sublattice, tuple]:
+    """Level k with its contributing cones, built from level k-1 and cached."""
+    return fan._cached(("level", policy, k), lambda: _build_level(fan, policy, k))
+
+
+def _build_level(fan: Fan, policy: SupportPolicy, k: int) -> tuple[Sublattice, tuple]:
+    below = _level(fan, policy, k - 1)[0] if k else Sublattice(len(fan.rays))
+    parts, contribs = [], []
+    # The star of a codim-0 cone of a simplicial fan is the cone alone,
+    # whose rays are independent, so its kernel is zero under both policies.
+    if k or not fan.simplicial:
+        for cone in fan.cones:
+            if cone.ray_indices and cone.codim == k:
+                local = rel_lattice_star(fan, cone, policy).sublattice
+                if local.rank:
+                    contribs.append((cone, local.rank))
+                    parts.append(local)
+    if not parts:
+        return below, ()
+    return lattice_sum([below] + parts, ambient_rank=len(fan.rays)), tuple(contribs)
 
 
 def _require_relation(fan: Fan, r: Sequence[int], rel: RelLattice) -> tuple[int, ...]:

@@ -302,10 +302,25 @@ class Sublattice:
         gens = IntMatrix(generators, cols=ambient_rank)
         if gens.cols != ambient_rank:
             raise ValueError(f"generators have length {gens.cols}, ambient rank is {ambient_rank}")
-        body = [row for row in hnf_basis(gens).entries if any(row)]
+        self._set_basis(ambient_rank, [row for row in hnf_basis(gens).entries if any(row)])
+
+    @classmethod
+    def _from_canonical(cls, ambient_rank: int, rows: Sequence[Sequence[int]]) -> "Sublattice":
+        """The sublattice whose canonical basis is rows, without an elimination.
+
+        For internal callers only: rows must already be the nonzero rows
+        of a canonical HNF, as after zero-extending one along a sorted
+        coordinate map.
+        """
+        lattice = cls.__new__(cls)
+        lattice._set_basis(ambient_rank, rows)
+        return lattice
+
+    def _set_basis(self, ambient_rank: int, rows: Sequence[Sequence[int]]) -> None:
         self.ambient_rank = ambient_rank
-        self.basis = IntMatrix(body, cols=ambient_rank)
-        self._pivots = tuple(next(j for j, x in enumerate(row) if x) for row in body)
+        self.basis = IntMatrix(rows, cols=ambient_rank)
+        self._pivots = tuple(next(j for j, x in enumerate(row) if x)
+                             for row in self.basis.entries)
 
     @property
     def rank(self) -> int:

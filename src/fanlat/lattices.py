@@ -87,7 +87,11 @@ def rel_lattice(fan: Fan) -> RelLattice:
 
 
 def _embedded_kernel(fan: Fan, support: Sequence[int]) -> Sublattice:
-    """Kernel over the given ray subset, zero-extended to global coordinates."""
+    """Kernel over the given ray subset, zero-extended to global coordinates.
+
+    support is sorted, so the zero-extension of the kernel's canonical
+    basis keeps every pivot order and is itself canonical.
+    """
     m = len(fan.rays)
     cols = IntMatrix.from_columns([fan.rays[i] for i in support], height=fan.rank)
     kernel = integer_kernel(cols)
@@ -97,7 +101,35 @@ def _embedded_kernel(fan: Fan, support: Sequence[int]) -> Sublattice:
         for pos, i in enumerate(support):
             vec[i] = row[pos]
         gens.append(vec)
-    return Sublattice(m, gens)
+    return Sublattice._from_canonical(m, gens)
+
+
+def _pad_rel_lattice(rel: RelLattice) -> RelLattice:
+    """The same relations over one more ray, placed last with coefficient zero.
+
+    A trailing zero column keeps a canonical basis canonical.
+    """
+    m = len(rel.ray_labels) + 1
+    return RelLattice(ray_labels=tuple(range(m)), sublattice=Sublattice._from_canonical(
+        m, [row + (0,) for row in rel.basis_rows]))
+
+
+def _seed_untouched_stars(parent: Fan, refined: Fan, replaced: Sequence[set]) -> None:
+    """Seed a stellar subdivision's cache with the parent's data it keeps.
+
+    replaced holds the ray sets of the parent's maximal cones that the
+    subdivision replaced. A cone tau in none of them has only unchanged
+    maximal cones around it, and no new cone contains it, so its star
+    is the parent's and its star kernels are the parent's padded with a
+    zero for the new ray, which is last. Only what the parent already
+    cached is copied.
+    """
+    for key, value in list(parent._memo.items()):
+        if not (isinstance(key, tuple) and key[0] in ("star", "rel_lattice_star")):
+            continue
+        if any(set(key[1]) <= mset for mset in replaced):
+            continue
+        refined._memo[key] = value if key[0] == "star" else _pad_rel_lattice(value)
 
 
 def rel_lattice_star(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> RelLattice:

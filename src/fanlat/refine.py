@@ -19,7 +19,7 @@ from .errors import FanValidationError, NotARelationError, NotCompleteError, Not
 from .fan import ConeRef, Fan, is_complete, primitive, simplicial_faces
 from .filtration import filtration
 from .intlin import member
-from .lattices import SupportPolicy, rel_lattice
+from .lattices import SupportPolicy, _seed_untouched_stars, rel_lattice
 from .qsolve import solve_unique
 
 log = logging.getLogger(__name__)
@@ -68,7 +68,10 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
     built straight from its simplicial faces (the new ray is primitive,
     and each new cone stays simplicial because w has a nonzero
     coefficient on the ray it replaces) and carries over the input's
-    validation level and warnings.
+    validation level and warnings. Its cache starts with the input's
+    cached stars and star kernels of every cone in no maximal cone
+    containing sigma, the kernels padded with a zero for w, which is
+    the last ray; the input's own cache is left unchanged.
     """
     if not fan.simplicial:
         raise NotSimplicialError("stellar subdivision requires a simplicial fan")
@@ -87,18 +90,21 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
             f"{w} is not in the relative interior of cone {sigma.ray_indices}")
     new_index = len(fan.rays)
     sig = set(sigma.ray_indices)
-    new_maximal = []
+    new_maximal, replaced = [], []
     for mc in fan.maximal_cones:
         mset = set(mc.ray_indices)
         if sig <= mset:
+            replaced.append(mset)
             for rho in sorted(sig):
                 new_maximal.append(tuple(sorted((mset - {rho}) | {new_index})))
         else:
             new_maximal.append(mc.ray_indices)
-    return Fan(fan.rank, fan.rays + (w,), simplicial_faces(fan.rank, new_maximal), True,
-               name=f"{fan.name}/stellar" if fan.name else None,
-               asserted_complete=fan.asserted_complete, validation=fan.validation,
-               warnings=fan.warnings)
+    refined = Fan(fan.rank, fan.rays + (w,), simplicial_faces(fan.rank, new_maximal), True,
+                  name=f"{fan.name}/stellar" if fan.name else None,
+                  asserted_complete=fan.asserted_complete, validation=fan.validation,
+                  warnings=fan.warnings)
+    _seed_untouched_stars(fan, refined, replaced)
+    return refined
 
 
 def refinement_injection(before: Fan, after: Fan, r: Sequence[int]) -> tuple[int, ...]:

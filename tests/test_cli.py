@@ -339,6 +339,36 @@ class TestOneAnalysisPerFan:
         assert Counter(kernel_supports) <= expected
 
 
+class TestScanBuildsOnlyWhatItReads:
+    """A scan builds only the star kernels its depths need, and reuses untouched ones."""
+
+    def test_conjecture_on_p3(self, capsys, tmp_path, monkeypatch):
+        lattices = importlib.import_module("fanlat.lattices")
+        real = lattices._star_kernel
+        built = []
+
+        def spy(fan, tau, policy):
+            built.append((fan, tau))
+            return real(fan, tau, policy)
+
+        monkeypatch.setattr(lattices, "_star_kernel", spy)
+        path = tmp_path / "p3.json"
+        path.write_text(json.dumps(fan_to_dict(catalog_entry("p3").fan)))
+        code, report, _ = run_json(capsys, "conjecture", str(path), "--trials", "20")
+        assert code == 0
+        assert report["completed_trials"] == 20
+        assert all(rec["depth_after"] == 1 for tr in report["traces"] for rec in tr["records"])
+        # Every depth is 1: no codim-0 (maximal) or codim-2 (ray) kernel is needed.
+        assert built and all(tau.codim == 1 for _, tau in built)
+        parents = [fan for fan, _ in built if len(fan.rays) == 4]
+        assert len(parents) == len({tau for fan, tau in built if len(fan.rays) == 4}) == 6
+        refined = [(fan, tau) for fan, tau in built if len(fan.rays) == 5]
+        assert len({id(fan) for fan, _ in refined}) == 20
+        for fan, tau in refined:
+            # The new ray is last; a star without it is the parent's.
+            assert len(fan.rays) - 1 in star(fan, tau)[1], tau
+
+
 def test_json_flag_mirrors_stdout(capsys, p2_file, tmp_path):
     mirror = tmp_path / "report.json"
     code, out, _ = run(capsys, "report", p2_file, "--json", str(mirror))

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import pytest
@@ -76,6 +77,42 @@ class TestFiltrationLevels:
         level1 = profile.contributing[1]
         assert all(cone.codim == 1 and rank > 0 for cone, rank in level1)
         assert any(cone.ray_indices == (0, 1) for cone, _ in level1)
+
+
+class TestLevelsOnDemand:
+    def test_depth_of_stops_at_the_first_level_containing_the_relation(self):
+        fan = build_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+        assert filtration(fan, INC).depth_of((1, 1, 1, 1)) == 1
+        built = {key[2] for key in fan._memo if key[0] == "level"}
+        assert built == {0, 1}
+        kernels = {key[1] for key in fan._memo if key[0] == "rel_lattice_star"}
+        assert kernels and all(len(cone) == 2 for cone in kernels)
+
+    def test_level_without_generators_is_the_level_below(self):
+        for entry in catalog():
+            for policy in (INC, EXC):
+                profile = filtration(entry.fan, policy)
+                n = entry.fan.rank
+                assert profile.contributing[n] == ()
+                assert profile.levels[n] is profile.levels[n - 1]
+                if entry.fan.simplicial:
+                    assert profile.contributing[0] == ()
+
+    def test_non_simplicial_codim0_star_still_contributes(self):
+        rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
+        full = [(0, 1, 2, 3), (0, 1, 3), (0, 2), (1, 2), (0,), (1,), (2,)]
+        fan = build_fan(3, rays, [(0, 1, 2, 3)], cones=full, trust=True)
+        assert not fan.simplicial
+        cone = fan.cone((0, 1, 2, 3))
+        assert filtration(fan, INC).contributing[0] == ((cone, 1),)
+
+    def test_profile_is_immutable(self):
+        profile = filtration(catalog_entry("p2").fan, INC)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.levels = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.policy = EXC
 
 
 def test_member_agrees_with_oracle_on_catalog():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+from fanlat import lattices as lattices_module
 from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError
 from fanlat.fan import apply_unimodular, build_fan
@@ -66,6 +67,36 @@ class TestRelLatticeStar:
         fan = catalog_entry("p2").fan
         with pytest.raises(FanValidationError):
             rel_lattice_star(fan, fan.zero_cone, INC)
+
+
+class TestCanonicalKernelRows:
+    """Zero-extended and padded kernels skip the HNF; their rows must already be canonical."""
+
+    def test_star_kernels_match_public_constructor(self):
+        for entry in catalog():
+            fan = entry.fan
+            m = len(fan.rays)
+            for cone in fan.cones:
+                if not cone.ray_indices:
+                    continue
+                for policy in (INC, EXC):
+                    lat = rel_lattice_star(fan, cone, policy).sublattice
+                    assert lat == Sublattice(m, lat.basis_rows), (entry.name, cone, policy)
+                    padded = lattices_module._pad_rel_lattice(
+                        rel_lattice_star(fan, cone, policy)).sublattice
+                    rows = [row + (0,) for row in lat.basis_rows]
+                    assert padded == Sublattice(m + 1, rows), (entry.name, cone, policy)
+
+    def test_internal_kernels_match_public_constructor(self):
+        rays = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+        full = [(), (0,), (1,), (2,), (3,), (0, 1), (1, 2), (2, 3), (0, 3),
+                (0, 1, 2, 3)]
+        fans = [entry.fan for entry in catalog()]
+        fans.append(build_fan(3, rays, [(0, 1, 2, 3)], cones=full, trust=True))
+        for fan in fans:
+            for cone in fan.cones:
+                lat = rel_lattice_internal(fan, cone).sublattice
+                assert lat == Sublattice(len(fan.rays), lat.basis_rows)
 
 
 class TestRelLatticeInternal:

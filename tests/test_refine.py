@@ -5,9 +5,9 @@ import pytest
 import oracles
 from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError, NotARelationError
-from fanlat.fan import build_fan, is_complete
+from fanlat.fan import build_fan, is_complete, star
 from fanlat.filtration import filtration
-from fanlat.lattices import SupportPolicy, rel_lattice
+from fanlat.lattices import SupportPolicy, rel_lattice, rel_lattice_star
 from fanlat.refine import (conjecture_scan, random_stellar_draw,
                            refinement_injection, stellar_subdivide)
 
@@ -99,6 +99,60 @@ class TestStellarSubdivide:
             refined = stellar_subdivide(entry.fan, cone, w)
             if entry.known["complete"]:
                 assert is_complete(refined), entry.name
+
+
+def _fresh_copy(fan):
+    """The same fan built from nothing, with an empty cache."""
+    return build_fan(fan.rank, fan.rays, [mc.ray_indices for mc in fan.maximal_cones],
+                     trust=True)
+
+
+class TestSeededSubdivision:
+    """A refined fan starts from its parent's untouched star data; that must be exact."""
+
+    def test_seeded_refinement_matches_fresh_build(self):
+        rng = random.Random(2026)
+        seeded_entries = 0
+        for entry in catalog():
+            if not entry.known["complete"]:
+                continue
+            fan = _fresh_copy(entry.fan)
+            # Chained draws: each parent is the previous seeded refinement,
+            # whose cache the comparisons below have filled.
+            for _ in range(10):
+                for policy in (INC, EXC):
+                    filtration(fan, policy).levels
+                draw = random_stellar_draw(fan, rng)
+                assert draw is not None
+                seeded = stellar_subdivide(fan, *draw)
+                seeded_entries += sum(1 for key in seeded._memo
+                                      if key[0] == "rel_lattice_star")
+                fresh = _fresh_copy(seeded)
+                assert fresh == seeded
+                for cone in fresh.cones:
+                    if not cone.ray_indices:
+                        continue
+                    assert star(seeded, cone) == star(fresh, cone), (entry.name, cone)
+                    for policy in (INC, EXC):
+                        assert (rel_lattice_star(seeded, cone, policy)
+                                == rel_lattice_star(fresh, cone, policy)), (entry.name, cone)
+                for policy in (INC, EXC):
+                    a, b = filtration(seeded, policy), filtration(fresh, policy)
+                    assert a.levels == b.levels, (entry.name, policy)
+                    assert a.contributing == b.contributing, (entry.name, policy)
+                fan = seeded
+        assert seeded_entries > 0
+
+    def test_touched_stars_are_not_seeded(self):
+        fan = catalog_entry("p3").fan
+        parent = _fresh_copy(fan)
+        for cone in parent.cones[1:]:
+            rel_lattice_star(parent, cone, INC)
+        refined = stellar_subdivide(parent, parent.cone((0, 1)), (1, 1, 0))
+        seeded = {key[1] for key in refined._memo if key[0] == "rel_lattice_star"}
+        # (0, 1) lies in both replaced maximal cones (0, 1, 2) and (0, 1, 3);
+        # only cones outside them keep their stars.
+        assert seeded == {(2, 3), (0, 2, 3), (1, 2, 3)}
 
 
 class TestRefinementInjection:
