@@ -360,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("path", help="fan file (JSON)")
         p.add_argument("--trust", action="store_true",
-                       help="skip pairwise intersection validation")
+                       help="take the fan on trust: skip the exact check that "
+                            "the cones form a fan")
         p.add_argument("--json", dest="json_path", metavar="PATH",
                        help="also write the report to PATH")
         if needs_policy:

@@ -2,31 +2,26 @@
 
 Cones are stored combinatorially as sorted tuples of ray indices;
 geometry is reconstructed from the primitive ray vectors on demand.
-Simplicial fans get exact pairwise-intersection validation (Fourier-
-Motzkin over the integers) up to a size guard, then a sampled fallback
-that marks the fan partially validated. Stellar subdivisions
-(refine.stellar_subdivide) are fans by construction and inherit the
-validation level of the fan they refine. Non-simplicial input is
-accepted only with an explicit full cone list and trust=True.
+Simplicial input is validated exactly on one path: the ridge
+certificate of is_complete accepts a complete fan at once, and any other
+simplicial input is checked with one exact separating-hyperplane
+feasibility problem per pair of maximal cones. A fan's validation is
+"full" when it was checked and "trusted" when it was taken on trust.
+Stellar subdivisions (refine.stellar_subdivide) are fans by construction
+and inherit the validation level of the fan they refine. Non-simplicial
+input is accepted only with an explicit full cone list and trust=True.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import FanValidationError, InternalCheckError, NotSimplicialError
 from .intlin import IntMatrix, hnf_basis, matrix_rank, snf
-from .qsolve import FMSizeExceeded, cone_pair_proper, in_simplicial_cone, solve_unique
-
-# Exact pairwise validation runs below these bounds; above them the
-# sampled fallback is used and the fan is marked "partially validated".
-FULL_VALIDATION_MAX_RANK = 4
-FULL_VALIDATION_MAX_PAIRS = 2000
-_SAMPLES_PER_CONE = 20
+from .qsolve import cone_pair_proper, in_simplicial_cone, solve_unique
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -182,9 +177,13 @@ def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
 
     Rays are normalized to primitive vectors (a duplicate after
     normalization is an error). For simplicial input every subset of a
-    maximal cone becomes a face. Non-simplicial input needs an explicit
-    full cone list and trust=True; trust also skips the pairwise
-    intersection validation for simplicial fans.
+    maximal cone becomes a face, and unless trust is set the cones are
+    checked exactly to form a fan: input that passes the ridge
+    certificate of is_complete is a complete fan, and any other input
+    goes through cone_pair_proper on every pair of maximal cones. The
+    validation is then "full", or "trusted" with trust=True.
+    Non-simplicial input needs an explicit full cone list and
+    trust=True.
     """
     if rank < 0:
         raise FanValidationError("rank must be nonnegative")
@@ -215,18 +214,13 @@ def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
         raise FanValidationError(f"rays {missing} appear in no maximal cone")
 
     simplicial = all(_cone_dim(rays, c) == len(c) for c in gens)
-    warnings = []
 
     if simplicial:
         fan = Fan(rank, rays, simplicial_faces(rank, gens), True, name=name,
                   asserted_complete=assert_complete,
                   validation="trusted" if trust else "full")
-        if not trust:
-            level = _validate_pairwise(fan)
-            fan.validation = level
-            if level == "partial":
-                warnings.append("pairwise intersection validation was sampled, not exact")
-                fan.warnings = tuple(warnings)
+        if not trust and not is_complete(fan):
+            _validate_pairwise(fan)
         return fan
 
     # Non-simplicial path.
@@ -249,45 +243,18 @@ def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
                warnings=("non-simplicial fan accepted on trust",))
 
 
-def _validate_pairwise(fan: Fan) -> str:
-    """Exact FM check that maximal cones intersect in their common face.
+def _validate_pairwise(fan: Fan) -> None:
+    """Exact check that every two maximal cones meet in their common face.
 
     For simplicial fans it suffices to test maximal pairs: faces are
     generator subsets, so proper maximal intersections force proper
-    intersections everywhere. Returns the achieved validation level.
+    intersections everywhere.
     """
     maximal = [c.ray_indices for c in fan.maximal_cones if c.ray_indices]
-    pairs = list(combinations(maximal, 2))
-    if fan.rank <= FULL_VALIDATION_MAX_RANK and len(pairs) <= FULL_VALIDATION_MAX_PAIRS:
-        try:
-            for s1, s2 in pairs:
-                if not cone_pair_proper(fan.rays, s1, s2):
-                    raise FanValidationError(
-                        f"cones {s1} and {s2} intersect outside their common face")
-            return "full"
-        except FMSizeExceeded:
-            pass
-    _validate_pairwise_sampled(fan, pairs)
-    return "partial"
-
-
-def _validate_pairwise_sampled(fan: Fan, pairs) -> None:
-    rng = random.Random(20260811)
-    for s1, s2 in pairs:
-        shared = sorted(set(s1) & set(s2))
-        shared_vecs = [fan.rays[i] for i in shared]
-        for a, b in ((s1, s2), (s2, s1)):
-            a_vecs = [fan.rays[i] for i in a]
-            b_vecs = [fan.rays[i] for i in b]
-            for _ in range(_SAMPLES_PER_CONE):
-                coeffs = [rng.randint(0, 3) for _ in a]
-                x = tuple(sum(c * v[j] for c, v in zip(coeffs, a_vecs))
-                          for j in range(fan.rank))
-                if not any(x) or not in_simplicial_cone(b_vecs, x):
-                    continue
-                if not in_simplicial_cone(shared_vecs, x):
-                    raise FanValidationError(
-                        f"sampled point of cone {a} lies in cone {b} outside the shared face")
+    for s1, s2 in combinations(maximal, 2):
+        if not cone_pair_proper(fan.rays, s1, s2):
+            raise FanValidationError(
+                f"cones {s1} and {s2} intersect outside their common face")
 
 
 def star(fan: Fan, tau: ConeRef) -> tuple[tuple[ConeRef, ...], tuple[int, ...]]:
@@ -317,9 +284,10 @@ def is_complete(fan: Fan) -> bool:
     ridge, so that number is the same everywhere, and the last one
     fixes it at one around an interior point of the first cone. It
     assumes no pairwise validation, so trusted input that is not a fan
-    is answered False. The verdict is cached on the fan. Non-simplicial
-    fans are only handled through an explicit completeness assertion in
-    their metadata.
+    is answered False, and a True verdict also certifies that the cones
+    form a fan, which build_fan relies on. The verdict is cached on the
+    fan. Non-simplicial fans are only handled through an explicit
+    completeness assertion in their metadata.
     """
     if not fan.simplicial:
         if fan.asserted_complete is not None:

@@ -3,7 +3,8 @@
 Fan files are plain JSON:
 
     { "rank": n, "rays": [[...], ...], "maximal_cones": [[...], ...],
-      "cones": [[...], ...]?, "metadata": {"name"?, "assert_complete"?, "trust"?}? }
+      "cones": [[...], ...]?,
+      "metadata": {"name"?: string, "assert_complete"?: bool, "trust"?: bool}? }
 
 Schema problems raise FanFileError (CLI exit 2); geometric validation
 problems surface from build_fan as FanValidationError (exit 1). Reports
@@ -67,8 +68,13 @@ def fan_from_dict(data: dict, trust: bool = False) -> Fan:
     meta = data.get("metadata") or {}
     if not isinstance(meta, dict):
         raise FanFileError("metadata must be an object")
+    for key, kind, what in (("trust", bool, "a boolean"),
+                            ("assert_complete", bool, "a boolean"),
+                            ("name", str, "a string")):
+        if key in meta and not isinstance(meta[key], kind):
+            raise FanFileError(f"metadata {key} must be {what}, got {meta[key]!r}")
     return build_fan(rank, rays, maximal, cones=cones,
-                     trust=trust or bool(meta.get("trust", False)),
+                     trust=trust or meta.get("trust", False),
                      name=meta.get("name"),
                      assert_complete=meta.get("assert_complete"))
 

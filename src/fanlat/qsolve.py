@@ -1,20 +1,15 @@
-"""Exact rational linear solves and Fourier-Motzkin feasibility.
+"""Exact rational linear solves and linear feasibility.
 
 Backs the geometric validation: cone membership, relative-interior
 tests, and the pairwise cone-intersection check. Solves use Fractions;
-the elimination stays in integers (rows are only ever scaled by
-positive factors, which preserves inequalities).
+the feasibility test is a phase-I simplex with fraction-free integer
+pivots and Bland's rule, so it always ends with an exact verdict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
-
-
-class FMSizeExceeded(Exception):
-    """Row blow-up guard tripped during Fourier-Motzkin elimination."""
 
 
 def solve_unique(columns: Sequence[Sequence[int]], target: Sequence[int]) -> Optional[list[Fraction]]:
@@ -57,87 +52,69 @@ def in_simplicial_cone(ray_vectors: Sequence[Sequence[int]], x: Sequence[int]) -
     return coeffs is not None and all(c >= 0 for c in coeffs)
 
 
-def _normalize(coeffs: tuple[int, ...], const: int):
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    if g > 1 and const % g == 0:
-        return tuple(c // g for c in coeffs), const // g
-    return coeffs, const
-
-
-def fm_feasible(rows: list[tuple[tuple[int, ...], int]], num_vars: int,
-                max_rows: int = 20000) -> bool:
+def fm_feasible(rows: Sequence[tuple[Sequence[int], int]], num_vars: int) -> bool:
     """Feasibility of {z : coeffs . z >= const for every row} over Q.
 
-    Eliminates variables left to right; each elimination combines every
-    positive-coefficient row with every negative one. Returns False as
-    soon as a contradictory constant row appears.
+    Phase I of the simplex method. With z = p - q and one surplus
+    t_i >= 0 per row, row i reads a_i.p - a_i.q - t_i = c_i, negated
+    when c_i < 0 so that every right-hand side is nonnegative, and one
+    artificial variable per row forms the starting basis. The system is
+    feasible iff pivoting drives the sum of the artificials to zero.
+    Pivots are fraction-free (Edmonds): every entry of the tableau is
+    kept as an integer minor of the input, scaled by the last pivot, so
+    each division is exact. Bland's rule (the lowest column with a
+    positive reduced cost enters; among tied ratios the lowest basic
+    variable leaves) rules out cycling, so the loop ends without any
+    size or step bound.
+
+    The name is kept from the Fourier-Motzkin routine this replaced
+    because the benchmark tracer (perfbench/spans.py) wraps it by name.
     """
-    work = set()
-    for coeffs, const in rows:
-        coeffs, const = _normalize(tuple(coeffs), const)
-        if not any(coeffs):
-            if const > 0:
-                return False
-            continue
-        work.add((coeffs, const))
-    for v in range(num_vars):
-        pos, neg, rest = [], [], []
-        for coeffs, const in work:
-            cv = coeffs[v]
-            if cv > 0:
-                pos.append((coeffs, const))
-            elif cv < 0:
-                neg.append((coeffs, const))
-            else:
-                rest.append((coeffs, const))
-        new_rows = set(rest)
-        for pc, pb in pos:
-            for nc, nb in neg:
-                a, b = pc[v], -nc[v]
-                coeffs = tuple(b * x + a * y for x, y in zip(pc, nc))
-                const = b * pb + a * nb
-                coeffs, const = _normalize(coeffs, const)
-                if not any(coeffs):
-                    if const > 0:
-                        return False
-                    continue
-                new_rows.add((coeffs, const))
-        if len(new_rows) > max_rows:
-            raise FMSizeExceeded(f"{len(new_rows)} rows while eliminating variable {v}")
-        work = new_rows
+    m = len(rows)
+    tab = []
+    for i, (coeffs, const) in enumerate(rows):
+        sign = -1 if const < 0 else 1
+        surplus = [0] * m
+        surplus[i] = -sign
+        tab.append([sign * a for a in coeffs] + [-sign * a for a in coeffs]
+                   + surplus + [sign * const])
+    ncols = 2 * num_vars + m
+    # Reduced costs of the artificial sum; the last entry is that sum.
+    cost = [sum(row[j] for row in tab) for j in range(ncols + 1)]
+    basis = list(range(ncols, ncols + m))  # artificial i has index ncols + i
+    scale = 1
+    while cost[-1]:
+        enter = next((j for j in range(ncols) if cost[j] > 0), None)
+        if enter is None:
+            return False
+        leave = min((i for i in range(m) if tab[i][enter] > 0),
+                    key=lambda i: (Fraction(tab[i][-1], tab[i][enter]), basis[i]))
+        prow = tab[leave]
+        pivot = prow[enter]
+        for row in tab + [cost]:
+            if row is not prow:
+                f = row[enter]
+                row[:] = [(pivot * x - f * y) // scale for x, y in zip(row, prow)]
+        scale = pivot
+        basis[leave] = enter
     return True
 
 
 def cone_pair_proper(ray_vectors: Sequence[Sequence[int]], s1: Sequence[int],
-                     s2: Sequence[int], max_rows: int = 20000) -> bool:
+                     s2: Sequence[int]) -> bool:
     """Exact check that cone(s1) and cone(s2) meet in cone(s1 & s2).
 
-    Both cones must be simplicial. A point of the intersection has a
-    unique coefficient vector on each side, so the cones meet properly
-    iff no point of the intersection puts positive weight on a
-    non-shared generator. Each such generator yields one feasibility
-    problem over the cone {a, b >= 0 : sum a_i v_i = sum b_j v_j}.
+    Both cones must be simplicial. By the separation lemma (Cox-Little-
+    Schenck, Lemma 1.2.13) they meet in their common face iff some m has
+    m.s = 0 on the shared rays, m.a >= 1 on the other rays of s1 and
+    m.b <= -1 on the other rays of s2: such an m is nonnegative on
+    cone(s1), nonpositive on cone(s2), and zero on either cone only
+    along cone(s1 & s2). One exact feasibility problem decides it.
     """
     shared = set(s1) & set(s2)
-    k1, k2 = len(s1), len(s2)
-    n = len(ray_vectors[0]) if ray_vectors else 0
-    nvars = k1 + k2
-    base: list[tuple[tuple[int, ...], int]] = []
-    for i in range(nvars):
-        base.append((tuple(1 if j == i else 0 for j in range(nvars)), 0))
-    for r in range(n):
-        row = tuple(
-            [ray_vectors[s1[i]][r] for i in range(k1)]
-            + [-ray_vectors[s2[j]][r] for j in range(k2)]
-        )
-        base.append((row, 0))
-        base.append((tuple(-x for x in row), 0))
-    test_positions = [i for i in range(k1) if s1[i] not in shared]
-    test_positions += [k1 + j for j in range(k2) if s2[j] not in shared]
-    for pos in test_positions:
-        probe = base + [(tuple(1 if j == pos else 0 for j in range(nvars)), 1)]
-        if fm_feasible(probe, nvars, max_rows=max_rows):
-            return False
-    return True
+    rows = []
+    for i in shared:
+        rows += [(ray_vectors[i], 0), ([-x for x in ray_vectors[i]], 0)]
+    rows += [(ray_vectors[i], 1) for i in s1 if i not in shared]
+    rows += [([-x for x in ray_vectors[i]], 1) for i in s2 if i not in shared]
+    return fm_feasible(rows, len(ray_vectors[s1[0]]))

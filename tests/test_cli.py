@@ -79,6 +79,19 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("metadata", [
+        {"trust": "no"}, {"assert_complete": "no"}, {"name": ["p2"]},
+    ])
+    def test_metadata_types_checked(self, capsys, tmp_path, metadata):
+        data = fan_to_dict(catalog_entry("p2").fan)
+        data["metadata"] = metadata
+        path = tmp_path / "bad_metadata.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"metadata {next(iter(metadata))} must be" in err
+
 
 class TestReport:
     def test_p2(self, capsys, p2_file):

@@ -1,10 +1,18 @@
 import pytest
 
-from fanlat.corpus import catalog_entry
+import fanlat.fan as fan_module
+from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError, NotSimplicialError
 from fanlat.fan import (apply_unimodular, build_fan, is_complete, localize,
                         primitive, star)
 from fanlat.intlin import IntMatrix, Sublattice, hnf, sublattice_index
+from fanlat.qsolve import cone_pair_proper, fm_feasible
+
+P5_RAYS = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+           (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (-1, -1, -1, -1, -1)]
+P5_MAXIMAL = [tuple(j for j in range(6) if j != i) for i in range(6)]
+TWICE_WOUND_RAYS = [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)]
+TWICE_WOUND_MAXIMAL = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
 
 
 def quad_cone_fan():
@@ -73,13 +81,27 @@ class TestBuildFan:
         with pytest.raises(FanValidationError, match="no maximal cone"):
             build_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1)])
 
-    def test_rank_five_falls_back_to_sampled_validation(self):
-        rays = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
-                (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (-1, -1, -1, -1, -1)]
-        maximal = [tuple(j for j in range(6) if j != i) for i in range(6)]
-        fan = build_fan(5, rays, maximal)
-        assert fan.validation == "partial"
-        assert any("sampled" in w for w in fan.warnings)
+    def test_rank_five_validated_exactly(self):
+        fan = build_fan(5, P5_RAYS, P5_MAXIMAL)
+        assert fan.validation == "full"
+        assert fan.warnings == ()
+
+    def test_rank_five_non_complete_validated_exactly(self):
+        fan = build_fan(5, P5_RAYS, P5_MAXIMAL[1:])
+        assert fan.validation == "full"
+        assert fan.warnings == ()
+        assert not is_complete(fan)
+
+    def test_rank_five_nested_cones_detected(self):
+        rays = P5_RAYS[:5] + [(1, 1, 1, 1, 1)]
+        with pytest.raises(FanValidationError, match="intersect"):
+            build_fan(5, rays, [(0, 1, 2, 3, 4), (0, 1, 2, 3, 5)])
+
+    def test_twice_wound_cycle_rejected(self):
+        # Passes the ridge test, fails the cover point, and is then
+        # caught by the pairwise check.
+        with pytest.raises(FanValidationError, match="intersect"):
+            build_fan(2, TWICE_WOUND_RAYS, TWICE_WOUND_MAXIMAL)
 
     def test_trust_skips_validation(self):
         fan = build_fan(2, [(1, 0), (0, 1), (-1, -1)],
@@ -155,9 +177,7 @@ class TestIsComplete:
     def test_trusted_twice_wound_not_complete(self):
         # Five cones wind twice around the origin: every ridge is proper,
         # but each generic point is covered twice.
-        rays = [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)]
-        fan = build_fan(2, rays, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
-                        trust=True)
+        fan = build_fan(2, TWICE_WOUND_RAYS, TWICE_WOUND_MAXIMAL, trust=True)
         assert is_complete(fan) is False
 
 
@@ -223,24 +243,96 @@ class TestApplyUnimodular:
             apply_unimodular(fan, IntMatrix([[2, 0], [0, 1]]))
 
 
+RANK3_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1),
+              (1, 1, 0), (0, 0, -1)]
+RANK4_RAYS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+              (-1, -1, -1, -1), (1, 1, 0, 0), (0, 0, 0, -1)]
+
+
 def test_pairwise_check_accepts_shared_face_pairs():
     # Split a quadrant repeatedly; adjacent pieces share exactly one ray.
-    from fanlat.qsolve import cone_pair_proper
-
     rays = [(1, 0), (3, 1), (1, 1), (1, 3), (0, 1)]
     for a, b in [((0, 1), (1, 2)), ((1, 2), (2, 3)), ((2, 3), (3, 4))]:
         assert cone_pair_proper(rays, a, b)
     # Non-adjacent pieces share nothing and meet only at the origin.
     assert cone_pair_proper(rays, (0, 1), (3, 4))
+    # Neighbouring maximal cones of P^3 and P^4 share a facet.
+    assert cone_pair_proper(RANK3_RAYS, (0, 1, 2), (0, 1, 3))
+    assert cone_pair_proper(RANK4_RAYS, (0, 1, 2, 3), (0, 1, 2, 4))
 
 
 def test_pairwise_check_rejects_overlaps():
-    from fanlat.qsolve import cone_pair_proper
-
     rays = [(1, 0), (0, 1), (1, 1), (2, 1)]
     assert not cone_pair_proper(rays, (0, 1), (0, 2))  # nested cones
     assert not cone_pair_proper(rays, (0, 2), (3, 1))  # crossing interiors
     assert not cone_pair_proper(rays, (0, 1), (2, 3))  # contained in first
+    # cone(e1, e2, e1+e2+e3) lies inside cone(e1, e2, e3).
+    assert not cone_pair_proper(RANK3_RAYS, (0, 1, 2), (0, 1, 4))
+    # The two cones share only ray e1 but meet in the 2-cone cone(e1, e1+e2).
+    assert not cone_pair_proper(RANK3_RAYS, (0, 1, 2), (0, 5, 6))
+    # They share e1 and e3 but meet in the 3-cone cone(e1, e1+e2, e3).
+    assert not cone_pair_proper(RANK4_RAYS, (0, 1, 2, 3), (0, 2, 5, 6))
+
+
+@pytest.mark.parametrize("rows,num_vars,feasible", [
+    ([], 2, True),
+    ([((0, 0), 1)], 2, False),  # 0 >= 1
+    ([((0, 0), -1)], 2, True),
+    ([((1,), 1), ((-1,), 0)], 1, False),  # x >= 1 and x <= 0
+    ([((3,), 2), ((2,), -2), ((-2,), 0), ((-3,), 0)], 1, False),  # needs the ratio test
+    ([((1, 1), 1), ((1, -1), 1), ((-1, 0), -1)], 2, True),  # only x = 1, y = 0
+    ([((1, 1), 1), ((1, -1), 1), ((-1, 0), -1), ((0, 1), 1)], 2, False),
+    ([((1, 0, 0), 0), ((-1, 0, 0), 0), ((0, 3, -2), 5), ((0, -1, 1), 7)], 3, True),
+])
+def test_feasibility_is_exact(rows, num_vars, feasible):
+    assert fm_feasible(rows, num_vars) is feasible
+
+
+@pytest.fixture
+def pairwise_spy(monkeypatch):
+    """Installs counters on the pairwise path and on cone_pair_proper."""
+    def install():
+        calls = {"pairwise": 0, "pairs": 0}
+        real_validate, real_pair = fan_module._validate_pairwise, fan_module.cone_pair_proper
+
+        def validate(fan):
+            calls["pairwise"] += 1
+            return real_validate(fan)
+
+        def pair(*args):
+            calls["pairs"] += 1
+            return real_pair(*args)
+
+        monkeypatch.setattr(fan_module, "_validate_pairwise", validate)
+        monkeypatch.setattr(fan_module, "cone_pair_proper", pair)
+        return calls
+    return install
+
+
+def _rebuild(fan):
+    return build_fan(fan.rank, fan.rays, [mc.ray_indices for mc in fan.maximal_cones])
+
+
+def test_complete_fans_skip_the_pairwise_check(pairwise_spy):
+    complete = [e.fan for e in catalog() if e.known["complete"]]
+    assert len(complete) == 6
+    calls = pairwise_spy()
+    for fan in complete:
+        assert _rebuild(fan).validation == "full"
+    assert build_fan(5, P5_RAYS, P5_MAXIMAL).validation == "full"
+    assert calls == {"pairwise": 0, "pairs": 0}
+
+
+def test_non_complete_fans_take_the_pairwise_check(pairwise_spy):
+    halfplane = catalog_entry("halfplane2").fan
+    calls = pairwise_spy()
+    assert _rebuild(halfplane).validation == "full"
+    assert calls == {"pairwise": 1, "pairs": 0}  # one cone, no pairs
+    build_fan(5, P5_RAYS, P5_MAXIMAL[1:])
+    assert calls == {"pairwise": 2, "pairs": 10}
+    with pytest.raises(FanValidationError, match="intersect"):
+        build_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)])
+    assert calls == {"pairwise": 3, "pairs": 11}
 
 
 def test_complete_fans_have_spanning_rays():

@@ -79,15 +79,14 @@ class TestStellarSubdivide:
         refined = stellar_subdivide(fan, fan.cone((0, 1)), (1, 1))
         assert refined.validation == "trusted"
 
-    def test_validation_carried_over_from_partial(self):
+    def test_validation_carried_over_from_rank_five(self):
         rays = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
                 (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (-1, -1, -1, -1, -1)]
         maximal = [tuple(j for j in range(6) if j != i) for i in range(6)]
         fan = build_fan(5, rays, maximal)
         refined = stellar_subdivide(fan, fan.cone((0, 1)), (1, 1, 0, 0, 0))
-        assert refined.validation == "partial"
-        assert refined.warnings == fan.warnings
-        assert any("sampled" in w for w in refined.warnings)
+        assert refined.validation == "full"
+        assert refined.warnings == ()
 
     def test_completeness_preserved_across_catalog(self):
         rng = random.Random(99)
