@@ -8,6 +8,7 @@ or parse error, 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -413,8 +414,18 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of build_parser, built on first use and shared by every main call.
+
+    Parsing leaves the parser unchanged, so one instance serves any
+    number of invocations in a process.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

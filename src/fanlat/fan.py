@@ -73,7 +73,8 @@ class Fan:
     subdivision and unimodular images build new fans), so every
     invariant derived from them is computed once and kept in the fan's
     private cache: the sorted and maximal cones, completeness, the
-    relation lattice, stars, star kernels and filtration levels. A new
+    relation lattice, stars, star kernels, filtration levels and the
+    factored ray-star system that local_decompose solves against. A new
     fan starts with an empty cache, except that a stellar subdivision
     is seeded with the stars and star kernels it leaves unchanged.
     """
@@ -312,8 +313,9 @@ def _covers_once(fan: Fan) -> bool:
         if len(rays) != 2:
             return False
         a, b = rays
-        coeffs = solve_unique([fan.rays[i] for i in ridge + (a,)], fan.rays[b])
-        if coeffs[-1] >= 0:
+        # b lies across the ridge from a iff its coefficient on a is negative.
+        nums, _ = solve_unique([fan.rays[i] for i in ridge + (a,)], fan.rays[b])
+        if nums[-1] >= 0:
             return False
     x = tuple(map(sum, zip(*(fan.rays[i] for i in maximal[0]))))
     return not any(in_simplicial_cone([fan.rays[i] for i in mc], x)

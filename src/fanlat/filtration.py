@@ -17,7 +17,9 @@ local_decompose writes a global relation as a sum of pieces, one per
 ray, each a relation supported inside that ray's star. Inclusive level
 n-1 is the sum of the rays' star-kernel lattices, so this is one exact
 integer solve over their concatenated bases; a relation with no
-solution provably lies outside level n-1 and is reported as such.
+solution provably lies outside level n-1 and is reported as such. The
+concatenated matrix is factored once per fan and cached on it, so each
+further relation costs one back-substitution.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from typing import Optional, Sequence
 from .errors import (InternalCheckError, NotARelationError, NotCompleteError,
                      NotLocallyGeneratedError, NotSimplicialError)
 from .fan import ConeRef, Fan, is_complete, star
-from .intlin import IntMatrix, Sublattice, lattice_equal, lattice_sum, member, solve_columns
+from .intlin import (ColumnFactor, IntMatrix, Sublattice, factor_columns, lattice_equal,
+                     lattice_sum, member, solve_factored)
 from .lattices import RelLattice, SupportPolicy, rel_lattice, rel_lattice_star
 
 
@@ -174,12 +177,13 @@ def local_decompose(fan: Fan, r: Sequence[int]) -> Decomposition:
     A cone containing ray i has its star inside the star of i, so
     inclusive level n-1 is the sum of the rays' star-kernel lattices.
     One integer solve writes r over the concatenated kernel bases of
-    every ray; piece i collects ray i's share, so each piece is a
-    relation supported inside that ray's star by construction. A
-    relation inside a single star is returned whole at the first such
-    ray. Complete fans are required. When the solve has no integer
-    solution, that is a certificate that r lies outside inclusive level
-    n-1, and NotLocallyGeneratedError is raised.
+    every ray, against the factorization of that matrix that the fan
+    caches for all its relations; piece i collects ray i's share, so
+    each piece is a relation supported inside that ray's star by
+    construction. A relation inside a single star is returned whole at
+    the first such ray. Complete fans are required. When the solve has
+    no integer solution, that is a certificate that r lies outside
+    inclusive level n-1, and NotLocallyGeneratedError is raised.
     """
     if not is_complete(fan):
         raise NotCompleteError("local decomposition requires a complete fan")
@@ -196,12 +200,8 @@ def local_decompose(fan: Fan, r: Sequence[int]) -> Decomposition:
         if all(j in stars[i] for j in support):
             return Decomposition(relation=r, pieces={i: r})
 
-    owners, columns = [], []
-    for i in range(m):
-        local = rel_lattice_star(fan, fan.cone((i,)), SupportPolicy.INCLUSIVE)
-        owners.extend([i] * local.rank)
-        columns.extend(local.basis_rows)
-    coeffs = solve_columns(IntMatrix.from_columns(columns, height=m), r)
+    owners, columns, factor = fan._cached("ray_star_system", lambda: _ray_star_system(fan))
+    coeffs = solve_factored(factor, r)
     if coeffs is None:
         raise NotLocallyGeneratedError(
             f"{r} lies outside inclusive filtration level {fan.rank - 1}: "
@@ -215,6 +215,16 @@ def local_decompose(fan: Fan, r: Sequence[int]) -> Decomposition:
 
     _verify_decomposition(r, pieces, stars, fan.ray_matrix())
     return Decomposition(relation=r, pieces=pieces)
+
+
+def _ray_star_system(fan: Fan) -> tuple[list[int], list[tuple[int, ...]], ColumnFactor]:
+    """Every ray's inclusive star-kernel basis as columns, with owners, factored once."""
+    owners, columns = [], []
+    for i in range(len(fan.rays)):
+        local = rel_lattice_star(fan, fan.cone((i,)), SupportPolicy.INCLUSIVE)
+        owners.extend([i] * local.rank)
+        columns.extend(local.basis_rows)
+    return owners, columns, factor_columns(IntMatrix.from_columns(columns, height=len(fan.rays)))
 
 
 def _verify_decomposition(r, pieces, stars, ray_mat) -> None:

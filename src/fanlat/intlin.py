@@ -9,13 +9,16 @@ entries above each pivot reduced into [0, pivot), zero rows trailing)
 is the single canonical form of the package: two sublattices are equal
 iff their canonical bases are identical tuples.
 
-No floats and no rationals enter this module. Membership tests run by
-exact back-substitution against the HNF basis.
+No floats and no rationals enter this module, nor any other module of
+the package: qsolve pivots fraction-free as well. Membership tests and
+integer solves run by exact back-substitution against an HNF basis;
+factor_columns keeps the HNF with transform of one matrix so that
+solve_factored can reuse it for every right-hand side.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -457,22 +460,48 @@ def member_by_enumeration(v: Sequence[int], generators: Sequence[Sequence[int]],
     return False
 
 
+class ColumnFactor(NamedTuple):
+    """The HNF with transform of a matrix's transpose, kept for repeated solves.
+
+    body and pivots are the nonzero rows of h and their pivot columns;
+    transform holds the matching rows of u, the only ones a particular
+    solution combines. rows and cols are the shape of the matrix.
+    """
+
+    rows: int
+    cols: int
+    body: list
+    pivots: list
+    transform: tuple
+
+
+def factor_columns(m: IntMatrix) -> ColumnFactor:
+    """Factor m once, so that solve_factored can solve m @ x = target per target."""
+    h, u = hnf(m.transpose())
+    body = [row for row in h.entries if any(row)]
+    return ColumnFactor(m.rows, m.cols, body,
+                        [next(j for j, x in enumerate(row) if x) for row in body],
+                        u.entries[:len(body)])
+
+
+def solve_factored(factor: ColumnFactor, target: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """solve_columns against a factored matrix: one back-substitution and one product."""
+    if len(target) != factor.rows:
+        raise ValueError(f"target length {len(target)} does not match {factor.rows} rows")
+    coeffs, residue = _reduce_against(factor.body, factor.pivots, target)
+    if coeffs is None or any(residue):
+        return None
+    # Zero rows of h take coefficient zero, so only the body's transform rows are summed.
+    return tuple(sum(c * row[j] for c, row in zip(coeffs, factor.transform))
+                 for j in range(factor.cols))
+
+
 def solve_columns(m: IntMatrix, target: Sequence[int]) -> Optional[tuple[int, ...]]:
     """An integer x with m @ x = target, or None if no integer solution.
 
     Deterministic: the particular solution comes from back-substitution
     against the HNF of the transpose followed by the transform rows.
+    factor_columns and solve_factored are its two halves, for callers
+    that solve against one matrix many times.
     """
-    if len(target) != m.rows:
-        raise ValueError(f"target length {len(target)} does not match {m.rows} rows")
-    h, u = hnf(m.transpose())
-    body = [row for row in h.entries if any(row)]
-    pivots = [next(j for j, x in enumerate(row) if x) for row in body]
-    coeffs, residue = _reduce_against(body, pivots, target)
-    if coeffs is None or any(residue):
-        return None
-    padded = coeffs + [0] * (h.rows - len(coeffs))
-    return tuple(
-        sum(c * u.entries[i][j] for i, c in enumerate(padded))
-        for j in range(u.cols)
-    )
+    return solve_factored(factor_columns(m), target)

@@ -1,55 +1,61 @@
-"""Exact rational linear solves and linear feasibility.
+"""Exact linear solves and linear feasibility in integer arithmetic.
 
 Backs the geometric validation: cone membership, relative-interior
-tests, and the pairwise cone-intersection check. Solves use Fractions;
-the feasibility test is a phase-I simplex with fraction-free integer
-pivots and Bland's rule, so it always ends with an exact verdict.
+tests, and the pairwise cone-intersection check. Both routines pivot
+fraction-free (Bareiss, Edmonds): every entry they keep is an integer
+minor of the input, so each division is exact and no rational number
+is ever formed. Solutions come back as integer numerators over one
+positive common denominator, so callers decide signs on integers; the
+feasibility test is a phase-I simplex under Bland's rule, so it always
+ends with an exact verdict.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 
-def solve_unique(columns: Sequence[Sequence[int]], target: Sequence[int]) -> Optional[list[Fraction]]:
+def solve_unique(columns: Sequence[Sequence[int]],
+                 target: Sequence[int]) -> Optional[tuple[list[int], int]]:
     """Solve sum_j x_j * columns[j] = target for independent columns.
 
-    Returns the unique rational solution, or None if the system is
-    inconsistent. Raises ValueError if the columns are dependent.
+    Returns (nums, den) with den > 0 and x_j = nums[j] / den for the
+    unique rational solution, or None if the system is inconsistent.
+    Raises ValueError if the columns are dependent. Fraction-free
+    Gauss-Jordan elimination (Bareiss, *Math. Comp.* 22, 1968): each
+    step scales by the new pivot and divides exactly by the previous
+    one, so every pivot row ends with the same diagonal entry, the
+    determinant of the pivot rows, and its last column holds the
+    Cramer numerators.
     """
     k = len(columns)
     n = len(target)
-    rows = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    pivot_rows = []
-    r = 0
+    rows = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(n)]
+    scale = 1
     for c in range(k):
-        piv = next((i for i in range(r, n) if rows[i][c]), None)
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
         if piv is None:
             raise ValueError("columns are linearly dependent")
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
+        rows[c], rows[piv] = rows[piv], rows[c]
+        prow = rows[c]
+        pivot = prow[c]
         for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c] / pr[c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        pivot_rows.append((r, c))
-        r += 1
-    for i in range(r, n):
-        if rows[i][k]:
-            return None
-    sol = [Fraction(0)] * k
-    for i, c in pivot_rows:
-        sol[c] = rows[i][k] / rows[i][c]
-    return sol
+            if i != c:
+                f = rows[i][c]
+                rows[i] = [(pivot * a - f * b) // scale for a, b in zip(rows[i], prow)]
+        scale = pivot
+    if any(rows[i][k] for i in range(k, n)):
+        return None
+    sign = -1 if scale < 0 else 1
+    return [sign * rows[c][k] for c in range(k)], sign * scale
 
 
 def in_simplicial_cone(ray_vectors: Sequence[Sequence[int]], x: Sequence[int]) -> bool:
     """Exact membership of x in the cone spanned by independent rays."""
     if not ray_vectors:
         return not any(x)
-    coeffs = solve_unique(ray_vectors, x)
-    return coeffs is not None and all(c >= 0 for c in coeffs)
+    solution = solve_unique(ray_vectors, x)
+    return solution is not None and all(c >= 0 for c in solution[0])
 
 
 def fm_feasible(rows: Sequence[tuple[Sequence[int], int]], num_vars: int) -> bool:
@@ -87,8 +93,13 @@ def fm_feasible(rows: Sequence[tuple[Sequence[int], int]], num_vars: int) -> boo
         enter = next((j for j in range(ncols) if cost[j] > 0), None)
         if enter is None:
             return False
-        leave = min((i for i in range(m) if tab[i][enter] > 0),
-                    key=lambda i: (Fraction(tab[i][-1], tab[i][enter]), basis[i]))
+        candidates = [i for i in range(m) if tab[i][enter] > 0]
+        leave = candidates[0]
+        for i in candidates[1:]:
+            # Ratios compared by cross-multiplying: both denominators are positive.
+            lhs, rhs = tab[i][-1] * tab[leave][enter], tab[leave][-1] * tab[i][enter]
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave = i
         prow = tab[leave]
         pivot = prow[enter]
         for row in tab + [cost]:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .errors import FanValidationError, NotARelationError, NotCompleteError, NotSimplicialError
 from .fan import ConeRef, Fan, is_complete, primitive, simplicial_faces
 from .filtration import filtration
-from .intlin import member
+from .intlin import IntMatrix, member
 from .lattices import SupportPolicy, _seed_untouched_stars, rel_lattice
 from .qsolve import solve_unique
 
@@ -84,8 +84,8 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
     w = primitive(w)
     if w in fan.rays:
         raise FanValidationError(f"{w} is already a ray of the fan")
-    coeffs = solve_unique([fan.rays[i] for i in sigma.ray_indices], w)
-    if coeffs is None or any(c <= 0 for c in coeffs):
+    solution = solve_unique([fan.rays[i] for i in sigma.ray_indices], w)
+    if solution is None or any(c <= 0 for c in solution[0]):
         raise FanValidationError(
             f"{w} is not in the relative interior of cone {sigma.ray_indices}")
     new_index = len(fan.rays)
@@ -114,19 +114,32 @@ def refinement_injection(before: Fan, after: Fan, r: Sequence[int]) -> tuple[int
     rays; the padded vector is verified to annihilate the refined ray
     matrix exactly.
     """
-    positions = {}
+    positions, ray_mat = _injection_map(before, after)
+    r = tuple(r)
+    _require_coarse_relation(before, r)
+    return _pad_relation(positions, ray_mat, r)
+
+
+def _injection_map(before: Fan, after: Fan) -> tuple[tuple[int, ...], IntMatrix]:
+    """The refined position of each coarse ray, and the refined ray matrix."""
     after_pos = {v: i for i, v in enumerate(after.rays)}
-    for i, v in enumerate(before.rays):
+    for v in before.rays:
         if v not in after_pos:
             raise FanValidationError(f"ray {v} of the coarse fan is missing from the refinement")
-        positions[i] = after_pos[v]
-    r = tuple(r)
+    return tuple(after_pos[v] for v in before.rays), after.ray_matrix()
+
+
+def _require_coarse_relation(before: Fan, r: tuple[int, ...]) -> None:
     if not member(r, rel_lattice(before).sublattice):
         raise NotARelationError(f"{r} is not a relation of the coarse fan")
-    padded = [0] * len(after.rays)
-    for i, x in enumerate(r):
-        padded[positions[i]] = x
-    if any(after.ray_matrix().mul_vector(padded)):
+
+
+def _pad_relation(positions: Sequence[int], ray_mat: IntMatrix,
+                  r: tuple[int, ...]) -> tuple[int, ...]:
+    padded = [0] * ray_mat.cols
+    for p, x in zip(positions, r):
+        padded[p] = x
+    if any(ray_mat.mul_vector(padded)):
         raise NotARelationError("padded vector fails to annihilate the refined rays")
     return tuple(padded)
 
@@ -170,6 +183,8 @@ def conjecture_scan(fan: Fan, policy: SupportPolicy, trials: int,
     master = random.Random(seed)
     trial_seeds = [master.getrandbits(64) for _ in range(trials)]
     basis = rel_lattice(fan).basis_rows
+    for r in basis:  # trial-invariant: checked once, not once per trial
+        _require_coarse_relation(fan, r)
     profile_before = filtration(fan, policy)
     depths_before = [profile_before.depth_of(r) for r in basis]
     traces = []
@@ -185,10 +200,10 @@ def conjecture_scan(fan: Fan, policy: SupportPolicy, trials: int,
             log.warning("trial %d: subdivision rejected (%s); skipped", t, exc)
             continue
         profile_after = filtration(refined, policy)
-        ray_map = tuple(refined.rays.index(v) for v in fan.rays)
+        ray_map, ray_mat = _injection_map(fan, refined)
         records = []
         for r, before_depth in zip(basis, depths_before):
-            padded = refinement_injection(fan, refined, r)
+            padded = _pad_relation(ray_map, ray_mat, r)
             after_depth = profile_after.depth_of(padded)
             comparable = before_depth is not None
             if not comparable:

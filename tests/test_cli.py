@@ -8,6 +8,7 @@ from fanlat.cli import main
 from fanlat.corpus import catalog_entry
 from fanlat.fan import star
 from fanlat.fanio import fan_to_dict, load_fan
+from fanlat.lattices import rel_lattice
 
 
 @pytest.fixture
@@ -185,6 +186,22 @@ class TestDecompose:
         assert code == 0
         assert report["results"][0]["checks"] == {"sum_matches": True,
                                                   "pieces_are_relations": True}
+
+    def test_parser_reuse_keeps_calls_apart(self, capsys, p2xp1_file):
+        code, report, _ = run_json(capsys, "decompose", p2xp1_file, "--relation", "0,0,0,1,1")
+        assert code == 0
+        assert [r["relation"] for r in report["results"]] == [["0", "0", "0", "1", "1"]]
+        code, report, _ = run_json(capsys, "decompose", p2xp1_file)
+        assert code == 0
+        basis = [[str(x) for x in r] for r in rel_lattice(load_fan(p2xp1_file)).basis_rows]
+        assert len(basis) == 2
+        assert [r["relation"] for r in report["results"]] == basis
+        code, _, err = run(capsys, "decompose", p2xp1_file, "--relation", "x")
+        assert code == 2
+        assert "comma-separated integer list" in err
+        code, report, err = run_json(capsys, "decompose", p2xp1_file)
+        assert code == 0 and err == ""
+        assert [r["relation"] for r in report["results"]] == basis
 
     def test_not_locally_generated_exits_1(self, capsys, tmp_path):
         path = tmp_path / "hexagon.json"

@@ -1,12 +1,17 @@
+import random
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 import fanlat.fan as fan_module
+import oracles
 from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError, NotSimplicialError
 from fanlat.fan import (apply_unimodular, build_fan, is_complete, localize,
                         primitive, star)
 from fanlat.intlin import IntMatrix, Sublattice, hnf, sublattice_index
-from fanlat.qsolve import cone_pair_proper, fm_feasible
+from fanlat.qsolve import cone_pair_proper, fm_feasible, solve_unique
 
 P5_RAYS = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
            (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (-1, -1, -1, -1, -1)]
@@ -286,6 +291,76 @@ def test_pairwise_check_rejects_overlaps():
 ])
 def test_feasibility_is_exact(rows, num_vars, feasible):
     assert fm_feasible(rows, num_vars) is feasible
+
+
+def test_feasibility_with_tied_minimum_ratio():
+    # x >= 1 and 2x >= 2: the first pivot column has ratios 1/1 and 2/2, and
+    # Bland's rule lets the lower basic variable leave.
+    assert fm_feasible([((1,), 1), ((2,), 2)], 1) is True
+    assert fm_feasible([((1,), 1), ((2,), 2), ((-1,), 0)], 1) is False
+    assert fm_feasible([((1, 1), 2), ((2, 2), 4), ((3, -1), 1), ((-1, 0), -3)], 2) is True
+
+
+def cramer(columns, target):
+    """Oracle: Cramer's rule on the first nonsingular k x k row subset.
+
+    Returns the solution as Fractions, None when it misses a row, and
+    "dependent" when every k x k minor vanishes.
+    """
+    k, n = len(columns), len(target)
+    rows = [[col[i] for col in columns] for i in range(n)]
+    for pick in combinations(range(n), k):
+        sub = [rows[i] for i in pick]
+        d = oracles.det(sub)
+        if d:
+            x = [oracles.det([[target[i] if c == j else row[c] for c in range(k)]
+                              for i, row in zip(pick, sub)]) / d for j in range(k)]
+            if all(sum(x[c] * row[c] for c in range(k)) == t for row, t in zip(rows, target)):
+                return x
+            return None
+    return "dependent"
+
+
+class TestSolveUnique:
+    def solve(self, columns, target):
+        try:
+            solution = solve_unique(columns, target)
+        except ValueError:
+            return "dependent"
+        if solution is None:
+            return None
+        nums, den = solution
+        assert den > 0 and all(isinstance(x, int) for x in nums)
+        return [Fraction(x, den) for x in nums]
+
+    @pytest.mark.parametrize("bound", [3, 10 ** 6, 10 ** 30])
+    def test_matches_cramer(self, bound):
+        rng = random.Random(bound)
+        kinds = {"solved": 0, None: 0, "dependent": 0}
+        for _ in range(300):
+            k = rng.randint(1, 4)
+            n = rng.randint(k, k + 2)  # square and tall
+            columns = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)]
+            if k > 1 and rng.random() < 0.2:
+                columns[-1] = [3 * a - b for a, b in zip(columns[0], columns[1])]
+            if rng.random() < 0.5:
+                hidden = [rng.randint(-bound, bound) for _ in range(k)]
+                target = [sum(x * col[i] for x, col in zip(hidden, columns)) for i in range(n)]
+            else:
+                target = [rng.randint(-bound, bound) for _ in range(n)]
+            expected = cramer(columns, target)
+            assert self.solve(columns, target) == expected, (columns, target)
+            kinds[expected if expected in (None, "dependent") else "solved"] += 1
+        assert all(kinds.values()), kinds
+
+    def test_known_instances(self):
+        assert solve_unique([(2, 0), (0, 4)], (1, 1)) == ([4, 2], 8)  # Cramer: det 8
+        assert solve_unique([(0, -1), (1, 0)], (3, 5)) == ([-5, 3], 1)
+        assert solve_unique([(1, 1, 0)], (2, 2, 1)) is None  # inconsistent tall system
+        with pytest.raises(ValueError):
+            solve_unique([(1, 2), (2, 4)], (1, 2))
+        with pytest.raises(ValueError):
+            solve_unique([(1, 0), (0, 1), (1, 1)], (1, 1))  # more columns than rows
 
 
 @pytest.fixture

@@ -280,20 +280,35 @@ class TestLocalDecompose:
     def test_one_solve_per_multi_star_relation(self, monkeypatch):
         # the package exports the function filtration under the module's name
         filtration_module = importlib.import_module("fanlat.filtration")
-        calls = []
-        real = filtration_module.solve_columns
+        factored, solved = [], []
+        real_factor, real_solve = filtration_module.factor_columns, filtration_module.solve_factored
 
-        def counting(m, target):
-            calls.append(target)
-            return real(m, target)
+        def counting_factor(m):
+            factored.append(m)
+            return real_factor(m)
 
-        monkeypatch.setattr(filtration_module, "solve_columns", counting)
+        def counting_solve(factor, target):
+            solved.append(target)
+            return real_solve(factor, target)
+
+        monkeypatch.setattr(filtration_module, "factor_columns", counting_factor)
+        monkeypatch.setattr(filtration_module, "solve_factored", counting_solve)
         fan = p2_refinement_fan()
-        local_decompose(fan, (1, 0, 0, 0, 0, 0, 1))
-        assert len(calls) == 1
+        ray_stars = [set(star(fan, fan.cone((i,)))[1]) for i in range(len(fan.rays))]
+        multi_star = []
+        for r in rel_lattice(fan).basis_rows:
+            self.verify(fan, r, local_decompose(fan, r))
+            support = {j for j, x in enumerate(r) if x}
+            if not any(support <= s for s in ray_stars):
+                multi_star.append(r)
+        assert len(multi_star) >= 2
+        assert len(factored) == 1
+        assert solved == multi_star
+        local_decompose(fan, multi_star[0])  # the factorization is reused
         local_decompose(catalog_entry("p2").fan, (1, 1, 1))  # one star holds it
         local_decompose(fan, (0,) * 7)
-        assert len(calls) == 1
+        assert len(factored) == 1
+        assert len(solved) == len(multi_star) + 1
 
     def test_relation_outside_penultimate_level(self):
         fan = hexagon_fan()

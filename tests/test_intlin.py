@@ -3,10 +3,11 @@ import random
 import pytest
 
 import oracles
-from fanlat.intlin import (IntMatrix, Sublattice, coefficients_in, hnf, hnf_basis,
-                           integer_kernel, lattice_equal, lattice_sum,
+from fanlat.intlin import (IntMatrix, Sublattice, coefficients_in, factor_columns, hnf,
+                           hnf_basis, integer_kernel, lattice_equal, lattice_sum,
                            matrix_rank, member, member_by_enumeration,
-                           saturation, snf, solve_columns, sublattice_index)
+                           saturation, snf, solve_columns, solve_factored,
+                           sublattice_index)
 
 
 def rows(m):
@@ -201,6 +202,24 @@ class TestSolveColumns:
             x = solve_columns(m, target)
             assert x is not None
             assert m.mul_vector(x) == target
+
+    def test_one_factor_serves_every_target(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            h = rng.randint(1, 4)
+            k = rng.randint(0, 5)
+            m = IntMatrix([[rng.randint(-6, 6) for _ in range(k)] for _ in range(h)], cols=k)
+            factor = factor_columns(m)
+            for _ in range(5):
+                if rng.random() < 0.5:
+                    target = m.mul_vector([rng.randint(-3, 3) for _ in range(k)])
+                else:
+                    target = tuple(rng.randint(-6, 6) for _ in range(h))
+                assert solve_factored(factor, target) == solve_columns(m, target)
+        with pytest.raises(ValueError):
+            solve_factored(factor_columns(IntMatrix([[1, 2]])), (1, 2))
+        with pytest.raises(ValueError):
+            solve_columns(IntMatrix([[1, 2]]), (1, 2))
 
 
 def test_huge_entries_stay_exact():

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+import fanlat.refine as refine_module
 import oracles
 from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError, NotARelationError
 from fanlat.fan import build_fan, is_complete, star
-from fanlat.filtration import filtration
+from fanlat.filtration import filtration, local_decompose
 from fanlat.lattices import SupportPolicy, rel_lattice, rel_lattice_star
 from fanlat.refine import (conjecture_scan, random_stellar_draw,
                            refinement_injection, stellar_subdivide)
@@ -153,6 +154,23 @@ class TestSeededSubdivision:
         # only cones outside them keep their stars.
         assert seeded == {(2, 3), (0, 2, 3), (1, 2, 3)}
 
+    def test_decomposition_factor_is_not_inherited(self):
+        # Seven-ray refinement of p2 whose basis relations need several stars.
+        parent = build_fan(2, [(1, 0), (0, 1), (-1, -1), (3, 1), (-2, -1), (-6, -1), (-1, 0)],
+                           [(0, 2), (0, 3), (1, 3), (1, 6), (2, 4), (4, 5), (5, 6)])
+        for r in rel_lattice(parent).basis_rows:
+            local_decompose(parent, r)
+        assert "ray_star_system" in parent._memo
+        for cone in parent.cones[1:]:
+            if cone.dim >= 2:
+                refined = stellar_subdivide(parent, cone, [sum(col) for col in zip(
+                    *(parent.rays[i] for i in cone.ray_indices))])
+                assert any(key[0] == "star" for key in refined._memo)
+                assert "ray_star_system" not in refined._memo
+                for r in rel_lattice(refined).basis_rows:
+                    local_decompose(refined, r)
+                assert "ray_star_system" in refined._memo
+
 
 class TestRefinementInjection:
     def test_zero_padding(self):
@@ -187,6 +205,25 @@ class TestRefinementInjection:
         refined = stellar_subdivide(fan, fan.cone((0, 1)), (1, 1))
         with pytest.raises(NotARelationError):
             refinement_injection(fan, refined, (1, 0, 0))
+
+    def test_scan_checks_each_basis_relation_once(self, monkeypatch):
+        real = refine_module.member
+        checked = []
+
+        def spy(v, lattice):
+            checked.append(tuple(v))
+            return real(v, lattice)
+
+        monkeypatch.setattr(refine_module, "member", spy)
+        fan = catalog_entry("p2xp1").fan
+        traces = conjecture_scan(fan, INC, 12, 5)
+        assert len(traces) == 12
+        assert checked == list(rel_lattice(fan).basis_rows)
+        for tr in traces:  # the hoisted padding agrees with the public injection
+            assert tr.ray_map == tuple(tr.after.rays.index(v) for v in fan.rays)
+            for rec in tr.records:
+                padded = refinement_injection(fan, tr.after, rec.relation)
+                assert rec.depth_after == filtration(tr.after, INC).depth_of(padded)
 
     def test_rank_grows_by_new_rays(self):
         rng = random.Random(12)
