@@ -72,11 +72,14 @@ class Fan:
     Nothing changes rays or the cone set after construction (stellar
     subdivision and unimodular images build new fans), so every
     invariant derived from them is computed once and kept in the fan's
-    private cache: the sorted and maximal cones, completeness, the
-    relation lattice, stars, star kernels, filtration levels and the
-    factored ray-star system that local_decompose solves against. A new
-    fan starts with an empty cache, except that a stellar subdivision
-    is seeded with the stars and star kernels it leaves unchanged.
+    private cache: the sorted and maximal cones, the ray matrix, the
+    incidence map (the cones holding each ray, in cones order, from
+    which stars and maximal cones are read), completeness, the relation
+    lattice, stars, star kernels, filtration levels and the factored
+    ray-star system that local_decompose solves against. A new fan
+    starts with an empty cache, except that a stellar subdivision is
+    seeded with the stars and star kernels it leaves unchanged, though
+    never with the incidence map.
     """
 
     __slots__ = ("rank", "rays", "simplicial", "name", "asserted_complete",
@@ -112,13 +115,22 @@ class Fan:
         return self._cached("maximal", self._find_maximal)
 
     def _find_maximal(self) -> tuple[ConeRef, ...]:
-        keys = list(self._cones)
-        maximal = []
-        for k in keys:
-            sk = set(k)
-            if not any(sk < set(other) for other in keys):
-                maximal.append(self._cones[k])
-        return tuple(sorted(maximal, key=ConeRef.sort_key))
+        # A cone is maximal iff no cone holding its first ray contains it strictly.
+        return tuple(c for c in self.cones if not any(
+            set(c.ray_indices) < set(o.ray_indices) for o in self._holders(c.ray_indices)))
+
+    def _holders(self, key: tuple[int, ...]) -> tuple[ConeRef, ...]:
+        """The cones holding the first ray of key, in cones order; all cones if key is empty."""
+        if not key:
+            return self.cones
+        return self._cached("incidence", self._incidence)[key[0]]
+
+    def _incidence(self) -> tuple[tuple[ConeRef, ...], ...]:
+        holders = [[] for _ in self.rays]
+        for c in self.cones:
+            for i in c.ray_indices:
+                holders[i].append(c)
+        return tuple(map(tuple, holders))
 
     @property
     def zero_cone(self) -> ConeRef:
@@ -136,7 +148,7 @@ class Fan:
 
     def ray_matrix(self) -> IntMatrix:
         """rank x nrays matrix whose columns are the primitive ray vectors."""
-        return IntMatrix.from_columns(self.rays, height=self.rank)
+        return self._cached("ray_matrix", lambda: IntMatrix._of(self.rays, self.rank).transpose())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Fan):
@@ -176,15 +188,15 @@ def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
               assert_complete: Optional[bool] = None) -> Fan:
     """Validate input data and construct a Fan.
 
-    Rays are normalized to primitive vectors (a duplicate after
-    normalization is an error). For simplicial input every subset of a
-    maximal cone becomes a face, and unless trust is set the cones are
-    checked exactly to form a fan: input that passes the ridge
-    certificate of is_complete is a complete fan, and any other input
-    goes through cone_pair_proper on every pair of maximal cones. The
-    validation is then "full", or "trusted" with trust=True.
-    Non-simplicial input needs an explicit full cone list and
-    trust=True.
+    Ray entries must be ints, and rays are normalized to primitive
+    vectors (a duplicate after normalization is an error). For
+    simplicial input every subset of a maximal cone becomes a face, and
+    unless trust is set the cones are checked exactly to form a fan:
+    input that passes the ridge certificate of is_complete is a complete
+    fan, and any other input goes through cone_pair_proper on every pair
+    of maximal cones. The validation is then "full", or "trusted" with
+    trust=True. Non-simplicial input needs an explicit full cone list
+    and trust=True.
     """
     if rank < 0:
         raise FanValidationError("rank must be nonnegative")
@@ -193,6 +205,8 @@ def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
         v = tuple(v)
         if len(v) != rank:
             raise FanValidationError(f"ray {v} does not have length {rank}")
+        if not all(isinstance(x, int) for x in v):
+            raise FanValidationError(f"ray {v} has a non-integer entry")
         if not any(v):
             raise FanValidationError("zero ray")
         p = primitive(v)
@@ -263,13 +277,13 @@ def star(fan: Fan, tau: ConeRef) -> tuple[tuple[ConeRef, ...], tuple[int, ...]]:
     key = tuple(sorted(tau.ray_indices))
     if not fan.has_cone(key):
         raise FanValidationError(f"cone {tau.ray_indices} is not in the fan")
-    return fan._cached(("star", key), lambda: _star(fan, set(key)))
+    return fan._cached(("star", key), lambda: _star(fan, key))
 
 
-def _star(fan: Fan, t: set) -> tuple[tuple[ConeRef, ...], tuple[int, ...]]:
-    members = [c for c in fan.cones if t <= set(c.ray_indices)]
-    ray_set = sorted({i for c in members for i in c.ray_indices})
-    return tuple(members), tuple(ray_set)
+def _star(fan: Fan, key: tuple[int, ...]) -> tuple[tuple[ConeRef, ...], tuple[int, ...]]:
+    t = set(key)
+    members = tuple(c for c in fan._holders(key) if t <= set(c.ray_indices))
+    return members, tuple(sorted({i for c in members for i in c.ray_indices}))
 
 
 def is_complete(fan: Fan) -> bool:

@@ -7,7 +7,13 @@ elimination without building it, for callers (Sublattice, matrix_rank)
 that only read the form. The row-style HNF used here (positive pivots,
 entries above each pivot reduced into [0, pivot), zero rows trailing)
 is the single canonical form of the package: two sublattices are equal
-iff their canonical bases are identical tuples.
+iff their canonical bases are identical tuples. An integer kernel is one
+elimination: the row HNF of [m^T | I] holds the kernel's canonical basis
+in the identity part of its rows that vanish on m^T.
+
+Entries are type-checked where they enter, in the public IntMatrix and
+Sublattice constructors and IntMatrix.from_columns; every matrix derived
+inside the package is built unchecked by IntMatrix._of.
 
 No floats and no rationals enter this module, nor any other module of
 the package: qsolve pivots fraction-free as well. Membership tests and
@@ -36,7 +42,11 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class IntMatrix:
-    """Immutable dense matrix of Python ints, row-major."""
+    """Immutable dense matrix of Python ints, row-major.
+
+    The constructor checks every entry and the row lengths; IntMatrix._of
+    does not, for rows the package derived from checked ones.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -61,6 +71,15 @@ class IntMatrix:
         self.entries = tuple(body)
 
     @classmethod
+    def _of(cls, rows: Iterable[Sequence[int]], cols: int) -> "IntMatrix":
+        """A matrix of trusted rows: ints, each of length cols, not re-checked."""
+        m = cls.__new__(cls)
+        m.entries = tuple(map(tuple, rows))
+        m.rows = len(m.entries)
+        m.cols = cols
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
@@ -71,12 +90,10 @@ class IntMatrix:
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], height: Optional[int] = None) -> "IntMatrix":
         cols = [tuple(c) for c in columns]
-        if cols:
-            height = len(cols[0])
-            if any(len(c) != height for c in cols):
-                raise ValueError("ragged columns")
-        elif height is None:
-            height = 0
+        if height is None:
+            height = len(cols[0]) if cols else 0
+        if any(len(c) != height for c in cols):
+            raise ValueError(f"columns must all have length {height}")
         return cls([[c[i] for c in cols] for i in range(height)], cols=len(cols))
 
     def row(self, i: int) -> tuple[int, ...]:
@@ -86,18 +103,15 @@ class IntMatrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        return IntMatrix._of(zip(*self.entries) if self.rows else [()] * self.cols, self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         ot = [other.column(j) for j in range(other.cols)]
-        return IntMatrix(
+        return IntMatrix._of(
             [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries],
-            cols=other.cols,
+            other.cols,
         )
 
     def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
@@ -120,46 +134,53 @@ class IntMatrix:
         return f"IntMatrix({list(map(list, self.entries))!r})"
 
 
-def _hermite(m: IntMatrix, transform: bool) -> list[list[int]]:
-    """The one HNF elimination loop, on the rows of m or of [m | I].
+def _with_identity(rows: Iterable[Sequence[int]], n: int) -> list[list[int]]:
+    """The rows of [a | I], for the n rows of a."""
+    return [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
 
-    Pivots are searched and every multiplier is computed in the first
-    m.cols columns only, so appending the identity carries the
-    unimodular transform along without changing h.
+
+def _hermite(rows: list[list[int]], width: int) -> list[list[int]]:
+    """The one HNF elimination loop, in place on rows, over their first width columns.
+
+    Pivots are searched and every multiplier is computed in those
+    columns only, so columns past width (an appended identity) are
+    carried along without changing the form of the first width.
     """
-    if transform:
-        rows = [list(row) + [1 if i == j else 0 for j in range(m.rows)]
-                for i, row in enumerate(m.entries)]
-    else:
-        rows = [list(row) for row in m.entries]
+    height = len(rows)
     r = 0
-    for c in range(m.cols):
-        if r == m.rows:
+    for c in range(width):
+        if r == height:
             break
-        piv = next((i for i in range(r, m.rows) if rows[i][c]), None)
-        if piv is None:
+        for piv in range(r, height):
+            if rows[piv][c]:
+                break
+        else:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, m.rows):
-            if rows[i][c]:
-                a, b = rows[r][c], rows[i][c]
+        pivot_row = rows[r]
+        for i in range(r + 1, height):
+            row = rows[i]
+            b = row[c]
+            if b:
+                a = pivot_row[c]
                 if b % a == 0:
                     # plain shear keeps the pivot row intact
                     q = b // a
-                    rows[i] = [t - q * s for s, t in zip(rows[r], rows[i])]
+                    rows[i] = [t - q * s for s, t in zip(pivot_row, row)]
                 else:
                     g, x, y = xgcd(a, b)
                     p, q = a // g, b // g
-                    rr, ri = rows[r], rows[i]
-                    rows[r] = [x * s + y * t for s, t in zip(rr, ri)]
-                    rows[i] = [p * t - q * s for s, t in zip(rr, ri)]
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
+                    rows[i] = [p * t - q * s for s, t in zip(pivot_row, row)]
+                    pivot_row = [x * s + y * t for s, t in zip(pivot_row, row)]
+        if pivot_row[c] < 0:
+            pivot_row = [-x for x in pivot_row]
+        rows[r] = pivot_row
+        a = pivot_row[c]
         for i in range(r):
-            q = rows[i][c] // rows[r][c]
+            q = rows[i][c] // a
             if q:
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [s - q * t for s, t in zip(rows[i], pivot_row)]
         r += 1
     return rows
 
@@ -171,14 +192,14 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     pivot reduced into [0, pivot), and zero rows trailing. The algorithm
     is deterministic, so equal inputs give identical outputs.
     """
-    rows = _hermite(m, transform=True)
-    return (IntMatrix([row[:m.cols] for row in rows], cols=m.cols),
-            IntMatrix([row[m.cols:] for row in rows], cols=m.rows))
+    rows = _hermite(_with_identity(m.entries, m.rows), m.cols)
+    return (IntMatrix._of([row[:m.cols] for row in rows], m.cols),
+            IntMatrix._of([row[m.cols:] for row in rows], m.rows))
 
 
 def hnf_basis(m: IntMatrix) -> IntMatrix:
     """The h of hnf(m), bit-identical, without building the transform."""
-    return IntMatrix(_hermite(m, transform=False), cols=m.cols)
+    return IntMatrix._of(_hermite([list(row) for row in m.entries], m.cols), m.cols)
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -282,7 +303,7 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 clear_at(i)
                 changed = True
                 break
-    return IntMatrix(s, cols=C), IntMatrix(u, cols=R), IntMatrix(w, cols=C)
+    return IntMatrix._of(s, C), IntMatrix._of(u, R), IntMatrix._of(w, C)
 
 
 def matrix_rank(m: IntMatrix) -> int:
@@ -302,18 +323,16 @@ class Sublattice:
     def __init__(self, ambient_rank: int, generators: Iterable[Sequence[int]] = ()):
         if ambient_rank < 0:
             raise ValueError("ambient_rank must be nonnegative")
-        gens = IntMatrix(generators, cols=ambient_rank)
-        if gens.cols != ambient_rank:
-            raise ValueError(f"generators have length {gens.cols}, ambient rank is {ambient_rank}")
-        self._set_basis(ambient_rank, [row for row in hnf_basis(gens).entries if any(row)])
+        self._set_basis(ambient_rank, hnf_basis(IntMatrix(generators, cols=ambient_rank)).entries)
 
     @classmethod
     def _from_canonical(cls, ambient_rank: int, rows: Sequence[Sequence[int]]) -> "Sublattice":
         """The sublattice whose canonical basis is rows, without an elimination.
 
-        For internal callers only: rows must already be the nonzero rows
-        of a canonical HNF, as after zero-extending one along a sorted
-        coordinate map.
+        For internal callers only: rows must already be a canonical HNF
+        of trusted entries, as integer_kernel and lattice_sum produce
+        them, or one zero-extended along a sorted coordinate map. Zero
+        rows are dropped.
         """
         lattice = cls.__new__(cls)
         lattice._set_basis(ambient_rank, rows)
@@ -321,9 +340,8 @@ class Sublattice:
 
     def _set_basis(self, ambient_rank: int, rows: Sequence[Sequence[int]]) -> None:
         self.ambient_rank = ambient_rank
-        self.basis = IntMatrix(rows, cols=ambient_rank)
-        self._pivots = tuple(next(j for j, x in enumerate(row) if x)
-                             for row in self.basis.entries)
+        self.basis = IntMatrix._of([row for row in rows if any(row)], ambient_rank)
+        self._pivots = tuple(map(_pivot, self.basis.entries))
 
     @property
     def rank(self) -> int:
@@ -343,6 +361,11 @@ class Sublattice:
 
     def __repr__(self) -> str:
         return f"Sublattice(rank {self.rank} in Z^{self.ambient_rank})"
+
+
+def _pivot(row: Sequence[int]) -> int:
+    """Column of row's first nonzero entry, which is where its value first occurs."""
+    return row.index(next(filter(None, row)))
 
 
 def _reduce_against(rows, pivots, v):
@@ -377,12 +400,16 @@ def member(v: Sequence[int], lattice: Sublattice) -> bool:
 def integer_kernel(m: IntMatrix) -> Sublattice:
     """Kernel of m as a map from Z^cols to Z^rows, as a canonical sublattice.
 
-    Derived from the HNF transform of the transpose: rows of u that
-    annihilate m span the kernel, which is automatically saturated.
+    One elimination over every column of [m^T | I] (Cohen, *A Course in
+    Computational Algebraic Number Theory*, section 2.4). The rows whose
+    first m.rows entries vanish come last; their identity parts span
+    the kernel, and the elimination has left them in the canonical HNF
+    that a separate HNF of them would give, so they are stored as they
+    are.
     """
-    h, u = hnf(m.transpose())
-    gens = [u.row(i) for i in range(h.rows) if not any(h.row(i))]
-    return Sublattice(m.cols, gens)
+    n = m.rows
+    rows = _hermite(_with_identity(m.transpose().entries, m.cols), n + m.cols)
+    return Sublattice._from_canonical(m.cols, [row[n:] for row in rows if not any(row[:n])])
 
 
 def lattice_sum(parts: Iterable[Sublattice], ambient_rank: Optional[int] = None) -> Sublattice:
@@ -400,7 +427,7 @@ def lattice_sum(parts: Iterable[Sublattice], ambient_rank: Optional[int] = None)
         if p.ambient_rank != ambient:
             raise ValueError("ambient rank mismatch in lattice_sum")
         gens.extend(p.basis_rows)
-    return Sublattice(ambient, gens)
+    return Sublattice._from_canonical(ambient, hnf_basis(IntMatrix._of(gens, ambient)).entries)
 
 
 def lattice_equal(a: Sublattice, b: Sublattice) -> bool:
@@ -413,11 +440,9 @@ def saturation(lattice: Sublattice) -> Sublattice:
     """Smallest sublattice containing this one with torsion-free quotient.
 
     Computed as the double orthogonal kernel, which preserves the rank
-    and reuses the canonical kernel machinery.
+    and is already canonical in the same ambient rank.
     """
-    orth = integer_kernel(lattice.basis)
-    sat = integer_kernel(orth.basis)
-    return Sublattice(lattice.ambient_rank, sat.basis_rows)
+    return integer_kernel(integer_kernel(lattice.basis).basis)
 
 
 def sublattice_index(lattice: Sublattice) -> Optional[int]:
@@ -480,7 +505,7 @@ def factor_columns(m: IntMatrix) -> ColumnFactor:
     h, u = hnf(m.transpose())
     body = [row for row in h.entries if any(row)]
     return ColumnFactor(m.rows, m.cols, body,
-                        [next(j for j, x in enumerate(row) if x) for row in body],
+                        list(map(_pivot, body)),
                         u.entries[:len(body)])
 
 

@@ -93,8 +93,7 @@ def _embedded_kernel(fan: Fan, support: Sequence[int]) -> Sublattice:
     basis keeps every pivot order and is itself canonical.
     """
     m = len(fan.rays)
-    cols = IntMatrix.from_columns([fan.rays[i] for i in support], height=fan.rank)
-    kernel = integer_kernel(cols)
+    kernel = integer_kernel(IntMatrix._of([fan.rays[i] for i in support], fan.rank).transpose())
     gens = []
     for row in kernel.basis_rows:
         vec = [0] * m

@@ -138,3 +138,22 @@ def random_unimodular(rng, n, steps=14):
         elif op == 2:
             m[i] = [-a for a in m[i]]
     return m
+
+
+def star_bruteforce(cones, tau):
+    """Cones of the list that contain tau, in list order, and the union of their rays.
+
+    cones and tau are plain tuples of ray indices; every cone is tested
+    as a set against tau.
+    """
+    t = set(tau)
+    members = [c for c in cones if t <= set(c)]
+    rays = set()
+    for c in members:
+        rays |= set(c)
+    return members, sorted(rays)
+
+
+def maximal_bruteforce(cones):
+    """Cones of the list that lie strictly inside no other cone of the list, in list order."""
+    return [c for c in cones if not any(set(c) < set(other) for other in cones)]

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 import fanlat.fan as fan_module
+import fanlat.refine as refine_module
 import oracles
 from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError, NotSimplicialError
@@ -62,6 +63,11 @@ class TestBuildFan:
     def test_duplicate_after_normalization(self):
         with pytest.raises(FanValidationError, match="duplicate"):
             build_fan(2, [(1, 2), (2, 4), (1, 0)], [(0, 2), (1, 2)])
+
+    @pytest.mark.parametrize("entry", [1.0, 0.5, "1", None])
+    def test_non_integer_ray_entry(self, entry):
+        with pytest.raises(FanValidationError, match="non-integer"):
+            build_fan(2, [(1, 0), (0, entry), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 
     def test_zero_ray(self):
         with pytest.raises(FanValidationError, match="zero"):
@@ -144,6 +150,54 @@ class TestStar:
         cones, ray_set = star(fan, fan.zero_cone)
         assert len(cones) == len(fan.cones)
         assert ray_set == (0, 1, 2)
+
+
+def _assert_stars_and_maximal_match_oracles(fan):
+    keys = [c.ray_indices for c in fan.cones]
+    assert [c.ray_indices for c in fan.maximal_cones] == oracles.maximal_bruteforce(keys)
+    for cone in fan.cones:
+        members, ray_set = star(fan, cone)
+        expected_members, expected_rays = oracles.star_bruteforce(keys, cone.ray_indices)
+        assert [c.ray_indices for c in members] == expected_members, (fan, cone)
+        assert list(ray_set) == expected_rays, (fan, cone)
+
+
+class TestIncidenceIndex:
+    """Stars and maximal cones come from the ray-to-cone incidence map; check them by brute force."""
+
+    @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
+    def test_catalog_fans(self, entry):
+        _assert_stars_and_maximal_match_oracles(entry.fan)
+
+    def test_chained_stellar_subdivisions(self):
+        rng = random.Random(909)
+        fan = catalog_entry("p2xp1").fan
+        for _ in range(20):
+            _assert_stars_and_maximal_match_oracles(fan)
+            assert "incidence" in fan._memo
+            draw = refine_module.random_stellar_draw(fan, rng)
+            assert draw is not None
+            refined = refine_module.stellar_subdivide(fan, *draw)
+            # The refinement starts from its parent's untouched stars but
+            # builds its own incidence map.
+            assert any(isinstance(key, tuple) and key[0] == "star" for key in refined._memo)
+            assert "incidence" not in refined._memo
+            fan = refined
+        _assert_stars_and_maximal_match_oracles(fan)
+
+    def test_trusted_non_simplicial_square(self):
+        fan = quad_cone_fan()
+        _assert_stars_and_maximal_match_oracles(fan)
+        assert [c.ray_indices for c in fan.maximal_cones] == [(0, 1, 2, 3)]
+        members, ray_set = star(fan, fan.cone((0,)))
+        assert [c.ray_indices for c in members] == [(0,), (0, 1), (0, 3), (0, 1, 2, 3)]
+        assert ray_set == (0, 1, 2, 3)
+
+    def test_rank_zero_fan(self):
+        fan = build_fan(0, [], [()])
+        _assert_stars_and_maximal_match_oracles(fan)
+        assert fan.maximal_cones == (fan.zero_cone,)
+        assert star(fan, fan.zero_cone) == ((fan.zero_cone,), ())
 
 
 class TestIsComplete:

@@ -87,6 +87,45 @@ class TestIntegerKernel:
         k = integer_kernel(IntMatrix([], cols=4))
         assert k.rank == 4
 
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_empty_shapes(self, k):
+        # 0 x k: every vector of Z^k is in the kernel, with the identity as its basis.
+        wide = integer_kernel(IntMatrix([], cols=k))
+        assert wide.ambient_rank == k
+        assert wide.basis_rows == IntMatrix.identity(k).entries
+        # k x 0: the kernel lives in Z^0 and is zero.
+        tall = integer_kernel(IntMatrix([[]] * k, cols=0))
+        assert tall.ambient_rank == 0 and tall.rank == 0
+
+
+class TestBoundaryChecks:
+    """The public constructors check every entry, the row lengths and the width."""
+
+    @pytest.mark.parametrize("bad", [1.0, 0.5, "1"])
+    def test_non_int_entry(self, bad):
+        with pytest.raises(TypeError):
+            IntMatrix([[1, 2], [3, bad]])
+        with pytest.raises(TypeError):
+            IntMatrix.from_columns([(1, 2), (bad, 3)])
+        with pytest.raises(TypeError):
+            Sublattice(2, [(1, 2), (3, bad)])
+
+    def test_ragged_rows(self):
+        with pytest.raises(ValueError):
+            IntMatrix([[1, 2], [3]])
+        with pytest.raises(ValueError):
+            IntMatrix.from_columns([(1, 2), (3,)])
+        with pytest.raises(ValueError):
+            Sublattice(2, [(1, 2), (3,)])
+
+    def test_cols_mismatch(self):
+        with pytest.raises(ValueError):
+            IntMatrix([[1, 2]], cols=3)
+        with pytest.raises(ValueError):
+            IntMatrix.from_columns([(1, 2)], height=3)
+        with pytest.raises(ValueError):
+            Sublattice(3, [(1, 2)])
+
 
 class TestMember:
     def test_multiple_of_generator(self):
@@ -271,6 +310,11 @@ def run_random_property_suite(num_matrices: int, seed: int = 20260811) -> None:
         assert oracles.is_unimodular(rows(sw))
         assert oracles.is_snf(rows(s))
         k = integer_kernel(m)
+        # The one-elimination kernel equals the two-step reference: the
+        # rows of u that hnf(m^T) sends to zero, brought to HNF.
+        ht, ut = hnf(m.transpose())
+        assert k.basis_rows == Sublattice(
+            width, [ut.row(i) for i in range(ht.rows) if not any(ht.row(i))]).basis_rows
         if k.rank:
             product = m @ k.basis.transpose()
             assert product.is_zero()
