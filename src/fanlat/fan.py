@@ -75,11 +75,15 @@ class Fan:
     private cache: the sorted and maximal cones, the ray matrix, the
     incidence map (the cones holding each ray, in cones order, from
     which stars and maximal cones are read), completeness, the relation
-    lattice, stars, star kernels, filtration levels and the factored
-    ray-star system that local_decompose solves against. A new fan
-    starts with an empty cache, except that a stellar subdivision is
-    seeded with the stars and star kernels it leaves unchanged, though
-    never with the incidence map.
+    lattice, stars, star kernels, filtration levels, the factored
+    ray-star system that local_decompose solves against, and, for each
+    cone that stellar_subdivide refined, the part of that subdivision
+    that does not depend on the new ray (the replaced maximal cones,
+    the refined face map, and the untouched stars with their padded
+    star kernels). A new fan starts with an empty cache, except that a
+    stellar subdivision is seeded with a copy of the stars and star
+    kernels it leaves unchanged, though never with the incidence map or
+    a subdivision of its own parent.
     """
 
     __slots__ = ("rank", "rays", "simplicial", "name", "asserted_complete",

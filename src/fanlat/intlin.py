@@ -7,9 +7,10 @@ elimination without building it, for callers (Sublattice, matrix_rank)
 that only read the form. The row-style HNF used here (positive pivots,
 entries above each pivot reduced into [0, pivot), zero rows trailing)
 is the single canonical form of the package: two sublattices are equal
-iff their canonical bases are identical tuples. An integer kernel is one
-elimination: the row HNF of [m^T | I] holds the kernel's canonical basis
-in the identity part of its rows that vanish on m^T.
+iff their canonical bases are identical tuples. An integer kernel is two
+eliminations: the row HNF of [m^T | I] over the columns of m^T leaves a
+kernel basis in the identity part of its rows that vanish on m^T, and
+an HNF of those parts alone makes that basis canonical.
 
 Entries are type-checked where they enter, in the public IntMatrix and
 Sublattice constructors and IntMatrix.from_columns; every matrix derived
@@ -400,16 +401,18 @@ def member(v: Sequence[int], lattice: Sublattice) -> bool:
 def integer_kernel(m: IntMatrix) -> Sublattice:
     """Kernel of m as a map from Z^cols to Z^rows, as a canonical sublattice.
 
-    One elimination over every column of [m^T | I] (Cohen, *A Course in
-    Computational Algebraic Number Theory*, section 2.4). The rows whose
-    first m.rows entries vanish come last; their identity parts span
-    the kernel, and the elimination has left them in the canonical HNF
-    that a separate HNF of them would give, so they are stored as they
-    are.
+    The HNF of [m^T | I] over its first m.rows columns (Cohen, *A Course
+    in Computational Algebraic Number Theory*, section 2.4) leaves last
+    the rows that vanish on m^T; their identity parts are a basis of the
+    kernel, and a second HNF of those parts alone makes it canonical.
+    The canonical HNF is unique, so this is the form that one
+    elimination over every column gives, without reducing the rows that
+    are dropped.
     """
     n = m.rows
-    rows = _hermite(_with_identity(m.transpose().entries, m.cols), n + m.cols)
-    return Sublattice._from_canonical(m.cols, [row[n:] for row in rows if not any(row[:n])])
+    rows = _hermite(_with_identity(m.transpose().entries, m.cols), n)
+    kernel = [row[n:] for row in rows if not any(row[:n])]
+    return Sublattice._from_canonical(m.cols, _hermite(kernel, m.cols))
 
 
 def lattice_sum(parts: Iterable[Sublattice], ambient_rank: Optional[int] = None) -> Sublattice:

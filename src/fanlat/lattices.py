@@ -113,22 +113,26 @@ def _pad_rel_lattice(rel: RelLattice) -> RelLattice:
         m, [row + (0,) for row in rel.basis_rows]))
 
 
-def _seed_untouched_stars(parent: Fan, refined: Fan, replaced: Sequence[set]) -> None:
-    """Seed a stellar subdivision's cache with the parent's data it keeps.
+def _seed_untouched_stars(entries, replaced: Sequence[set]) -> dict:
+    """The entries of a parent's cache that a stellar subdivision keeps.
 
-    replaced holds the ray sets of the parent's maximal cones that the
-    subdivision replaced. A cone tau in none of them has only unchanged
+    entries are (key, value) items of the parent's cache, and replaced
+    holds the ray sets of the parent's maximal cones that the
+    subdivision replaces. A cone tau in none of them has only unchanged
     maximal cones around it, and no new cone contains it, so its star
     is the parent's and its star kernels are the parent's padded with a
-    zero for the new ray, which is last. Only what the parent already
-    cached is copied.
+    zero for the new ray, which is last. The result holds those stars
+    and padded kernels under their keys; it does not depend on the new
+    ray, so one result serves every subdivision of the same cone.
     """
-    for key, value in list(parent._memo.items()):
+    seeds = {}
+    for key, value in entries:
         if not (isinstance(key, tuple) and key[0] in ("star", "rel_lattice_star")):
             continue
         if any(set(key[1]) <= mset for mset in replaced):
             continue
-        refined._memo[key] = value if key[0] == "star" else _pad_rel_lattice(value)
+        seeds[key] = value if key[0] == "star" else _pad_rel_lattice(value)
+    return seeds
 
 
 def rel_lattice_star(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> RelLattice:

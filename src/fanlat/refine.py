@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import FanValidationError, NotARelationError, NotCompleteError, NotSimplicialError
@@ -71,7 +71,13 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
     validation level and warnings. Its cache starts with the input's
     cached stars and star kernels of every cone in no maximal cone
     containing sigma, the kernels padded with a zero for w, which is
-    the last ray; the input's own cache is left unchanged.
+    the last ray.
+
+    Which cones the subdivision replaces and creates, and which cached
+    stars it keeps, depend on sigma and not on w. That part is worked
+    out once per sigma and cached on the input fan under
+    ("subdivision", sigma's ray indices); every refined fan gets its own
+    copy of it, and nothing a refined fan computes is written back.
     """
     if not fan.simplicial:
         raise NotSimplicialError("stellar subdivision requires a simplicial fan")
@@ -88,23 +94,52 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
     if solution is None or any(c <= 0 for c in solution[0]):
         raise FanValidationError(
             f"{w} is not in the relative interior of cone {sigma.ray_indices}")
-    new_index = len(fan.rays)
-    sig = set(sigma.ray_indices)
-    new_maximal, replaced = [], []
-    for mc in fan.maximal_cones:
-        mset = set(mc.ray_indices)
-        if sig <= mset:
-            replaced.append(mset)
-            for rho in sorted(sig):
-                new_maximal.append(tuple(sorted((mset - {rho}) | {new_index})))
-        else:
-            new_maximal.append(mc.ray_indices)
-    refined = Fan(fan.rank, fan.rays + (w,), simplicial_faces(fan.rank, new_maximal), True,
+    skeleton = fan._cached(("subdivision", sigma.ray_indices),
+                           lambda: _SubdivisionSkeleton(fan, sigma))
+    refined = Fan(fan.rank, fan.rays + (w,), skeleton.faces, True,
                   name=f"{fan.name}/stellar" if fan.name else None,
                   asserted_complete=fan.asserted_complete, validation=fan.validation,
                   warnings=fan.warnings)
-    _seed_untouched_stars(fan, refined, replaced)
+    refined._memo.update(skeleton.seeds(fan))
     return refined
+
+
+class _SubdivisionSkeleton:
+    """The part of a stellar subdivision at sigma that does not depend on the new ray.
+
+    replaced holds the ray sets of the maximal cones containing sigma,
+    and faces the face map of the refined fan, whose new ray is index
+    len(fan.rays). seeds(fan) returns the fan's untouched stars and
+    padded star kernels; it pads each cache entry of the fan once and
+    takes in entries cached after the skeleton was made the next time
+    it is asked. Every seed is exact and the seeds only grow, so two
+    threads asking at once can at worst pad an entry twice.
+    """
+
+    __slots__ = ("replaced", "faces", "_seeds", "_scanned")
+
+    def __init__(self, fan: Fan, sigma: ConeRef):
+        new_index = len(fan.rays)
+        sig = set(sigma.ray_indices)
+        self.replaced, maximal = [], []
+        for mc in fan.maximal_cones:
+            mset = set(mc.ray_indices)
+            if sig <= mset:
+                self.replaced.append(mset)
+                for rho in sorted(sig):
+                    maximal.append(tuple(sorted((mset - {rho}) | {new_index})))
+            else:
+                maximal.append(mc.ray_indices)
+        self.faces = simplicial_faces(fan.rank, maximal)
+        self._seeds, self._scanned = {}, 0
+
+    def seeds(self, fan: Fan) -> dict:
+        """The untouched stars and padded star kernels of fan, the skeleton's parent."""
+        if len(fan._memo) > self._scanned:
+            entries = list(fan._memo.items())
+            self._seeds.update(_seed_untouched_stars(entries[self._scanned:], self.replaced))
+            self._scanned = len(entries)
+        return self._seeds
 
 
 def refinement_injection(before: Fan, after: Fan, r: Sequence[int]) -> tuple[int, ...]:
@@ -175,6 +210,12 @@ def conjecture_scan(fan: Fan, policy: SupportPolicy, trials: int,
     never count as violations; a finite depth that becomes unreachable
     does. Deterministic for a given seed: per-trial generators are
     seeded up front, so execution order cannot matter.
+
+    The draw space is small, so trials often repeat a draw. The first
+    trial of each draw (cone, new ray) subdivides and computes the
+    depths; a later trial with the same draw gets that trace with its
+    own trial index, sharing the refined fan and the records. Skipped
+    trials are not remembered, and each one logs its own warning.
     """
     if not fan.simplicial:
         raise NotSimplicialError("the scanner requires a simplicial fan")
@@ -188,12 +229,17 @@ def conjecture_scan(fan: Fan, policy: SupportPolicy, trials: int,
     profile_before = filtration(fan, policy)
     depths_before = [profile_before.depth_of(r) for r in basis]
     traces = []
+    first_of_draw = {}  # (cone ray indices, new ray) -> first trace of that draw
     for t, tseed in enumerate(trial_seeds):
         draw = random_stellar_draw(fan, random.Random(tseed))
         if draw is None:
             log.warning("trial %d: no usable subdivision draw; skipped", t)
             continue
         cone, w = draw
+        first = first_of_draw.get((cone.ray_indices, w))
+        if first is not None:
+            traces.append(replace(first, trial_index=t))
+            continue
         try:
             refined = stellar_subdivide(fan, cone, w)
         except FanValidationError as exc:
@@ -216,7 +262,8 @@ def conjecture_scan(fan: Fan, policy: SupportPolicy, trials: int,
                 relation=tuple(r), depth_before=before_depth,
                 depth_after=after_depth, policy=policy,
                 comparable=comparable, violation=violation))
-        traces.append(SubdivisionTrace(
+        trace = first_of_draw[cone.ray_indices, w] = SubdivisionTrace(
             trial_index=t, before=fan, after=refined, new_ray=w,
-            subdivided_cone=cone, ray_map=ray_map, records=tuple(records)))
+            subdivided_cone=cone, ray_map=ray_map, records=tuple(records))
+        traces.append(trace)
     return traces

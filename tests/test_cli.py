@@ -393,7 +393,9 @@ class TestScanBuildsOnlyWhatItReads:
         parents = [fan for fan, _ in built if len(fan.rays) == 4]
         assert len(parents) == len({tau for fan, tau in built if len(fan.rays) == 4}) == 6
         refined = [(fan, tau) for fan, tau in built if len(fan.rays) == 5]
-        assert len({id(fan) for fan, _ in refined}) == 20
+        # One refined fan per distinct draw; the scan repeats some draws.
+        draws = {(tuple(tr["cone"]), tuple(tr["new_ray"])) for tr in report["traces"]}
+        assert len({id(fan) for fan, _ in refined}) == len(draws) < report["completed_trials"]
         for fan, tau in refined:
             # The new ray is last; a star without it is the parent's.
             assert len(fan.rays) - 1 in star(fan, tau)[1], tau

@@ -9,7 +9,7 @@ from fanlat.errors import FanValidationError, NotARelationError
 from fanlat.fan import build_fan, is_complete, star
 from fanlat.filtration import filtration, local_decompose
 from fanlat.lattices import SupportPolicy, rel_lattice, rel_lattice_star
-from fanlat.refine import (conjecture_scan, random_stellar_draw,
+from fanlat.refine import (DepthRecord, conjecture_scan, random_stellar_draw,
                            refinement_injection, stellar_subdivide)
 
 INC = SupportPolicy.INCLUSIVE
@@ -172,6 +172,66 @@ class TestSeededSubdivision:
                 assert "ray_star_system" in refined._memo
 
 
+class TestSubdivisionSkeleton:
+    """The part of a subdivision that does not depend on the new ray is shared; nothing else is."""
+
+    @staticmethod
+    def _assert_matches_fresh(refined):
+        fresh = _fresh_copy(refined)
+        assert fresh == refined
+        for cone in fresh.cones[1:]:
+            for policy in (INC, EXC):
+                assert (rel_lattice_star(refined, cone, policy)
+                        == rel_lattice_star(fresh, cone, policy)), (refined.rays[-1], cone)
+        for policy in (INC, EXC):
+            assert filtration(refined, policy).levels == filtration(fresh, policy).levels
+
+    @pytest.mark.parametrize("cone, rays", [
+        ((0, 1), [(1, 1, 0), (1, 2, 0)]),
+        ((0, 1, 2), [(1, 1, 1), (3, 2, 1)]),
+    ])
+    def test_two_rays_in_one_cone_match_fresh_builds(self, cone, rays):
+        for order in (rays, rays[::-1]):
+            parent = _fresh_copy(catalog_entry("p3").fan)
+            for policy in (INC, EXC):
+                filtration(parent, policy).levels
+            first = stellar_subdivide(parent, parent.cone(cone), order[0])
+            for policy in (INC, EXC):  # fills the first refined fan's own cache
+                filtration(first, policy).levels
+            second = stellar_subdivide(parent, parent.cone(cone), order[1])
+            assert first.rays[-1] != second.rays[-1]
+            self._assert_matches_fresh(first)
+            self._assert_matches_fresh(second)
+
+    def test_one_skeleton_per_cone_never_inherited(self):
+        parent = _fresh_copy(catalog_entry("p3").fan)
+        for policy in (INC, EXC):
+            filtration(parent, policy).levels
+        draws = [((0, 1), (1, 1, 0)), ((0, 1), (2, 1, 0)), ((0, 1, 2), (1, 1, 1)),
+                 ((0, 1), (1, 1, 0)), ((1, 2, 3), (-1, 0, 0))]
+        children = [stellar_subdivide(parent, parent.cone(c), w) for c, w in draws]
+        skeletons = [key for key in parent._memo if key[0] == "subdivision"]
+        assert sorted(skeletons) == [("subdivision", (0, 1)), ("subdivision", (0, 1, 2)),
+                                     ("subdivision", (1, 2, 3))]
+        child = children[0]
+        assert not any(key[0] == "subdivision" for c in children for key in c._memo)
+        grandchild = stellar_subdivide(child, child.cone((0, 4)), (2, 1, 0))
+        assert [key for key in child._memo if key[0] == "subdivision"] == [
+            ("subdivision", (0, 4))]
+        assert not any(key[0] == "subdivision" for key in grandchild._memo)
+        self._assert_matches_fresh(grandchild)
+
+    def test_skeleton_takes_in_kernels_cached_after_it(self):
+        parent = _fresh_copy(catalog_entry("p3").fan)
+        stellar_subdivide(parent, parent.cone((0, 1)), (1, 1, 0))
+        for cone in parent.cones[1:]:
+            rel_lattice_star(parent, cone, INC)
+        refined = stellar_subdivide(parent, parent.cone((0, 1)), (1, 2, 0))
+        seeded = {key[1] for key in refined._memo if key[0] == "rel_lattice_star"}
+        assert seeded == {(2, 3), (0, 2, 3), (1, 2, 3)}
+        self._assert_matches_fresh(refined)
+
+
 class TestRefinementInjection:
     def test_zero_padding(self):
         fan = catalog_entry("p2").fan
@@ -289,6 +349,49 @@ class TestConjectureScan:
                 assert rec.depth_before is None
                 assert not rec.comparable
                 assert not rec.violation
+
+    @pytest.mark.parametrize("name", ["p2", "blowup_p2"])
+    @pytest.mark.parametrize("policy", [INC, EXC])
+    def test_repeated_draws_match_fresh_builds(self, name, policy):
+        fan = catalog_entry(name).fan
+        traces = conjecture_scan(fan, policy, 120, seed=11)
+        assert [tr.trial_index for tr in traces] == list(range(120))
+        fresh_before = filtration(_fresh_copy(fan), policy)
+        first_after = {}
+        for tr in traces:
+            draw = (tr.subdivided_cone.ray_indices, tr.new_ray)
+            assert first_after.setdefault(draw, tr.after) is tr.after
+            fresh = _fresh_copy(tr.after)
+            fresh_after = filtration(fresh, policy)
+            expected = []
+            for r in rel_lattice(fan).basis_rows:
+                before = fresh_before.depth_of(r)
+                after = fresh_after.depth_of(refinement_injection(fan, fresh, r))
+                expected.append(DepthRecord(
+                    relation=r, depth_before=before, depth_after=after, policy=policy,
+                    comparable=before is not None,
+                    violation=before is not None and (after is None or after > before)))
+            assert tr.records == tuple(expected), (name, tr.trial_index)
+        assert len(first_after) < len(traces)
+
+    def test_skipped_trials_are_not_remembered(self, monkeypatch, caplog):
+        fan = catalog_entry("p2").fan
+        monkeypatch.setattr(refine_module, "random_stellar_draw",
+                            lambda f, rng: (f.cone((0, 1)), (1, -1)))
+        real = refine_module.stellar_subdivide
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(refine_module, "stellar_subdivide", spy)
+        with caplog.at_level("WARNING", logger="fanlat.refine"):
+            assert conjecture_scan(fan, INC, 3, seed=0) == []
+        assert len(calls) == 3
+        assert [rec.getMessage().split(":")[0] for rec in caplog.records] == [
+            "trial 0", "trial 1", "trial 2"]
+        assert all("subdivision rejected" in rec.getMessage() for rec in caplog.records)
 
     def test_requires_complete_fan(self):
         from fanlat.errors import NotCompleteError
