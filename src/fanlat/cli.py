@@ -258,7 +258,7 @@ def cmd_subdivide(args) -> tuple[dict, int]:
     basis = rel_lattice(fan).basis_rows
     policies = _policies(args.policy)
     # Depths before the subdivision first, so the refined fan starts from
-    # the star kernels they built.
+    # the stars and star kernels they built.
     before = {p: [filtration(fan, p).depth_of(r) for r in basis] for p in policies}
     refined = stellar_subdivide(fan, sigma, args.ray)
     records = []

@@ -75,7 +75,9 @@ class Fan:
     private cache: the sorted and maximal cones, the ray matrix, the
     incidence map (the cones holding each ray, in cones order, from
     which stars and maximal cones are read), completeness, the relation
-    lattice, stars, star kernels, filtration levels, the factored
+    lattice, stars, star kernels, filtration levels, the star sets of
+    each codimension per support policy as ray bitmasks (read by
+    FiltrationProfile.depth_of to certify a depth), the factored
     ray-star system that local_decompose solves against, and, for each
     cone that stellar_subdivide refined, the part of that subdivision
     that does not depend on the new ray (the replaced maximal cones,

@@ -7,11 +7,16 @@ which happens on non-complete fans, under the exclusive policy, and on
 some complete fans whose relations are not all locally generated).
 
 Levels are built on demand, each from the one below, and cached on the
-fan, so a depth query builds only the levels up to the answer. Two
+fan, so a depth query builds only the levels up to the answer. Three
 exact shortcuts skip work: on a simplicial fan a codim-0 cone's star
-kernel is zero (the cone is its own star and its rays are independent),
-and a level that gains no generator is the level below it, which makes
-level n always level n-1.
+kernel is zero (the cone is its own star and its rays are independent);
+a level that gains no generator is the level below it, which makes
+level n always level n-1; and a depth query answers k without building
+level k when the relation lies in no level below k and its support fits
+the star set of a codim-k cone (the star's rays under the inclusive
+policy, those outside the cone under the exclusive one). The star
+kernel of that cone is every relation supported on its star set, and
+it lies inside level k, so the support certificate is exact.
 
 local_decompose writes a global relation as a sum of pieces, one per
 ray, each a relation supported inside that ray's star. Inclusive level
@@ -32,7 +37,7 @@ from .errors import (InternalCheckError, NotARelationError, NotCompleteError,
 from .fan import ConeRef, Fan, is_complete, star
 from .intlin import (ColumnFactor, IntMatrix, Sublattice, factor_columns, lattice_equal,
                      lattice_sum, member, solve_factored)
-from .lattices import RelLattice, SupportPolicy, rel_lattice, rel_lattice_star
+from .lattices import RelLattice, SupportPolicy, rel_lattice, rel_lattice_star, star_support
 
 
 @dataclass(frozen=True)
@@ -42,8 +47,13 @@ class FiltrationProfile:
     contributing[k] lists (cone, star-kernel rank) for the cones of
     codimension exactly k whose star kernel is nonzero. Each level is
     built on first use from the level below it and cached on the fan:
-    depth_of stops at the first level that contains the relation, while
-    levels, contributing and level_ranks build every level.
+    levels, contributing and level_ranks build every level, while
+    depth_of stops at the first level that contains the relation. Before
+    it builds a level k >= 1 that is not cached yet, depth_of tests the
+    relation's support against the star sets of the codim-k cones (int
+    bitmasks, cached on the fan per policy and k); a fit answers k for a
+    relation and None for a vector that is not one, and level k is not
+    built. Levels that are cached already are read by membership alone.
     """
 
     fan: Fan
@@ -62,8 +72,18 @@ class FiltrationProfile:
         return rel_lattice(self.fan)
 
     def depth_of(self, relation: Sequence[int]) -> Optional[int]:
-        for k in range(self.fan.rank + 1):
-            if member(relation, _level(self.fan, self.policy, k)[0]):
+        fan, policy = self.fan, self.policy
+        support = None
+        for k in range(fan.rank + 1):
+            # Level 0 is free on a simplicial fan, so k = 0 takes no certificate.
+            if k and ("level", policy, k) not in fan._memo:
+                if support is None:
+                    support = sum(1 << i for i, x in enumerate(relation) if x)
+                if any(not (support & ~mask) for mask in _star_masks(fan, policy, k)):
+                    # Every level lies in the relation lattice, so a vector
+                    # that is not a relation is in none of them.
+                    return None if any(fan.ray_matrix().mul_vector(relation)) else k
+            if member(relation, _level(fan, policy, k)[0]):
                 return k
         return None
 
@@ -126,6 +146,13 @@ def _build_level(fan: Fan, policy: SupportPolicy, k: int) -> tuple[Sublattice, t
     if not parts:
         return below, ()
     return lattice_sum([below] + parts, ambient_rank=len(fan.rays)), tuple(contribs)
+
+
+def _star_masks(fan: Fan, policy: SupportPolicy, k: int) -> tuple[int, ...]:
+    """The distinct star supports of the nonzero codim-k cones as ray bitmasks, cached."""
+    return fan._cached(("star_masks", policy, k), lambda: tuple(dict.fromkeys(
+        sum(1 << i for i in star_support(fan, cone, policy))
+        for cone in fan.cones if cone.ray_indices and cone.codim == k)))
 
 
 def _require_relation(fan: Fan, r: Sequence[int], rel: RelLattice) -> tuple[int, ...]:

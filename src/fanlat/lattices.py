@@ -146,14 +146,21 @@ def rel_lattice_star(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> RelLattic
                        lambda: _star_kernel(fan, tau, policy))
 
 
-def _star_kernel(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> RelLattice:
+def star_support(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> list[int]:
+    """The sorted rays a relation supported on the star of tau may touch.
+
+    Those are the star's rays under the inclusive policy and the star's
+    rays outside tau under the exclusive one.
+    """
     _, ray_set = star(fan, tau)
     if policy is SupportPolicy.EXCLUSIVE:
-        support = [i for i in ray_set if i not in tau.ray_indices]
-    else:
-        support = list(ray_set)
+        return [i for i in ray_set if i not in tau.ray_indices]
+    return list(ray_set)
+
+
+def _star_kernel(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> RelLattice:
     return RelLattice(ray_labels=tuple(range(len(fan.rays))),
-                      sublattice=_embedded_kernel(fan, support))
+                      sublattice=_embedded_kernel(fan, star_support(fan, tau, policy)))
 
 
 def rel_lattice_internal(fan: Fan, tau: ConeRef) -> RelLattice:

@@ -58,10 +58,10 @@ class SubdivisionTrace:
 def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
     """Refine the fan by the ray w interior to sigma.
 
-    w is primitivized; it must be a strictly positive rational
-    combination of sigma's rays (exact check) and must not duplicate an
-    existing ray. Every maximal cone containing sigma is replaced by its
-    joins with w over the facets of sigma.
+    w must be nonzero and is primitivized; it must be a strictly
+    positive rational combination of sigma's rays (exact check) and must
+    not duplicate an existing ray. Every maximal cone containing sigma
+    is replaced by its joins with w over the facets of sigma.
 
     A stellar subdivision of a fan is a fan (Cox-Little-Schenck, *Toric
     Varieties*, 11.1), so the refined fan is not validated again: it is
@@ -87,6 +87,8 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
     w = tuple(w)
     if len(w) != fan.rank:
         raise FanValidationError(f"ray {w} does not have length {fan.rank}")
+    if not any(w):
+        raise FanValidationError("zero ray")
     w = primitive(w)
     if w in fan.rays:
         raise FanValidationError(f"{w} is already a ray of the fan")

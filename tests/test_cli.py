@@ -259,6 +259,12 @@ class TestSubdivide:
         assert out == ""
         assert "does not have length 2" in err
 
+    def test_zero_ray(self, capsys, p2_file):
+        code, out, err = run(capsys, "subdivide", p2_file, "--cone", "0,1", "--ray", "0,0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: zero ray\n"
+
 
 class TestConjecture:
     def test_deterministic_bytes(self, capsys, p2xp1_file):
@@ -370,35 +376,43 @@ class TestOneAnalysisPerFan:
 
 
 class TestScanBuildsOnlyWhatItReads:
-    """A scan builds only the star kernels its depths need, and reuses untouched ones."""
+    """A scan builds only what its depths need, and reuses untouched stars."""
 
     def test_conjecture_on_p3(self, capsys, tmp_path, monkeypatch):
-        lattices = importlib.import_module("fanlat.lattices")
-        real = lattices._star_kernel
-        built = []
+        built = {"kernel": [], "level": [], "star": []}
 
-        def spy(fan, tau, policy):
-            built.append((fan, tau))
-            return real(fan, tau, policy)
+        def spy(module, name, kind):
+            module = importlib.import_module(module)
+            real = getattr(module, name)
 
-        monkeypatch.setattr(lattices, "_star_kernel", spy)
+            def recorder(fan, *args):
+                built[kind].append((fan, args))
+                return real(fan, *args)
+
+            monkeypatch.setattr(module, name, recorder)
+
+        spy("fanlat.lattices", "_star_kernel", "kernel")
+        spy("fanlat.filtration", "_build_level", "level")
+        spy("fanlat.fan", "_star", "star")
         path = tmp_path / "p3.json"
         path.write_text(json.dumps(fan_to_dict(catalog_entry("p3").fan)))
         code, report, _ = run_json(capsys, "conjecture", str(path), "--trials", "20")
         assert code == 0
         assert report["completed_trials"] == 20
         assert all(rec["depth_after"] == 1 for tr in report["traces"] for rec in tr["records"])
-        # Every depth is 1: no codim-0 (maximal) or codim-2 (ray) kernel is needed.
-        assert built and all(tau.codim == 1 for _, tau in built)
-        parents = [fan for fan, _ in built if len(fan.rays) == 4]
-        assert len(parents) == len({tau for fan, tau in built if len(fan.rays) == 4}) == 6
-        refined = [(fan, tau) for fan, tau in built if len(fan.rays) == 5]
+        # Every depth is 1, certified by the support of a codim-1 star: no
+        # fan builds level 1 or any star kernel, only the free level 0.
+        assert built["kernel"] == []
+        assert built["level"] and all(args[1] == 0 for _, args in built["level"])
         # One refined fan per distinct draw; the scan repeats some draws.
         draws = {(tuple(tr["cone"]), tuple(tr["new_ray"])) for tr in report["traces"]}
-        assert len({id(fan) for fan, _ in refined}) == len(draws) < report["completed_trials"]
-        for fan, tau in refined:
+        refined = {id(fan) for fan, _ in built["level"] if len(fan.rays) == 5}
+        assert len(refined) == len(draws) < report["completed_trials"]
+        refined_stars = [(fan, key) for fan, (key,) in built["star"] if len(fan.rays) == 5]
+        assert refined_stars
+        for fan, key in refined_stars:
             # The new ray is last; a star without it is the parent's.
-            assert len(fan.rays) - 1 in star(fan, tau)[1], tau
+            assert 4 in star(fan, fan.cone(key))[1], key
 
 
 def test_json_flag_mirrors_stdout(capsys, p2_file, tmp_path):

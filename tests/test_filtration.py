@@ -1,5 +1,7 @@
 import dataclasses
 import importlib
+import itertools
+import random
 
 import pytest
 
@@ -11,6 +13,7 @@ from fanlat.filtration import (check_generation, depth, filtration,
                                local_decompose)
 from fanlat.intlin import Sublattice, lattice_equal, member
 from fanlat.lattices import SupportPolicy, rel_lattice
+from fanlat.refine import random_stellar_draw, stellar_subdivide
 
 INC = SupportPolicy.INCLUSIVE
 EXC = SupportPolicy.EXCLUSIVE
@@ -79,15 +82,28 @@ class TestFiltrationLevels:
         assert any(cone.ray_indices == (0, 1) for cone, _ in level1)
 
 
+def _built_levels(fan, policy):
+    return {key[2] for key in fan._memo if key[0] == "level" and key[1] is policy}
+
+
 class TestLevelsOnDemand:
     def test_depth_of_stops_at_the_first_level_containing_the_relation(self):
+        # (1, 1, 1, 1) is supported on the star of every codim-1 cone of p3,
+        # so its depth is certified: level 1 and its star kernels are never built.
         fan = build_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
                         [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
         assert filtration(fan, INC).depth_of((1, 1, 1, 1)) == 1
-        built = {key[2] for key in fan._memo if key[0] == "level"}
-        assert built == {0, 1}
+        assert _built_levels(fan, INC) == {0}
+        assert not any(key[0] == "rel_lattice_star" for key in fan._memo)
+        # Without a certificate, depth_of builds exactly the levels up to the depth.
+        fan = p2_refinement_fan()
+        assert filtration(fan, INC).depth_of((1, 0, 0, 0, 0, 0, 1)) == 1
+        assert _built_levels(fan, INC) == {0, 1}
         kernels = {key[1] for key in fan._memo if key[0] == "rel_lattice_star"}
-        assert kernels and all(len(cone) == 2 for cone in kernels)
+        assert kernels == {(i,) for i in range(7)}
+        fan = hexagon_fan()
+        assert filtration(fan, INC).depth_of((2, 0, 0, 1, 2, -1)) is None
+        assert _built_levels(fan, INC) == {0, 1, 2}
 
     def test_level_without_generators_is_the_level_below(self):
         for entry in catalog():
@@ -113,6 +129,99 @@ class TestLevelsOnDemand:
             profile.levels = ()
         with pytest.raises(dataclasses.FrozenInstanceError):
             profile.policy = EXC
+
+
+def cube_fan():
+    """Trusted non-simplicial complete fan: the cones over the faces of a cube."""
+    rays = list(itertools.product((1, -1), repeat=3))
+    squares = [[i for i, v in enumerate(rays) if v[axis] == sign]
+               for axis in range(3) for sign in (1, -1)]
+    edges = [(i, j) for i, j in itertools.combinations(range(8), 2)
+             if sum(a != b for a, b in zip(rays[i], rays[j])) == 1]
+    cones = squares + edges + [(i,) for i in range(8)]
+    return build_fan(3, rays, squares, cones=cones, trust=True, name="cube")
+
+
+def _fresh(fan):
+    """The same fan built again from its cones, with an empty cache."""
+    return build_fan(fan.rank, fan.rays, [mc.ray_indices for mc in fan.maximal_cones],
+                     cones=[c.ray_indices for c in fan.cones], trust=True)
+
+
+def _subdivision_chain(name, seed, steps=3):
+    """Fans of a chain of seeded stellar subdivisions of a catalog fan."""
+    fan, rng, chain = catalog_entry(name).fan, random.Random(seed), []
+    for _ in range(steps):
+        fan = stellar_subdivide(fan, *random_stellar_draw(fan, rng))
+        chain.append(fan)
+    return chain
+
+
+def _probe_vectors(fan, rng):
+    """Zero, the basis relations, random sums of them, and the unit vectors."""
+    basis = rel_lattice(fan).basis_rows
+    m = len(fan.rays)
+    vectors = [(0,) * m, *basis]
+    for _ in range(4):
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        vectors.append(tuple(sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(m)))
+    return vectors + [tuple(int(i == j) for j in range(m)) for i in range(m)]
+
+
+class TestDepthBySupportCertificate:
+    """depth_of on a fan without levels agrees with the depth read from built levels."""
+
+    @staticmethod
+    def _check_against_levels(fan, seed):
+        """Compare every probe vector under both policies; count the certified depths."""
+        certified = 0
+        vectors = _probe_vectors(fan, random.Random(seed))
+        for policy in (INC, EXC):
+            levels = filtration(_fresh(fan), policy).levels
+            for r in vectors:
+                expected = next((k for k, level in enumerate(levels) if member(r, level)), None)
+                fresh = _fresh(fan)
+                got = filtration(fresh, policy).depth_of(r)
+                assert got == expected, (fan, policy, r)
+                # The fan as given answers in sequence, its cache filling up as a scan's does.
+                assert filtration(fan, policy).depth_of(r) == expected, (fan, policy, r)
+                certified += bool(got) and got not in _built_levels(fresh, policy)
+        return certified
+
+    def test_catalog_fans(self):
+        assert sum(self._check_against_levels(_fresh(entry.fan), 7) for entry in catalog())
+
+    @pytest.mark.parametrize("name", ["p2", "p3", "p2xp1"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_subdivision_chains(self, name, seed):
+        chain = _subdivision_chain(name, seed)
+        assert sum(self._check_against_levels(fan, seed) for fan in chain)
+
+    def test_trusted_non_simplicial_fan(self):
+        fan = cube_fan()
+        assert not fan.simplicial
+        # Its codim-0 stars contribute, so level 0 is built and read, never certified.
+        assert filtration(_fresh(fan), INC).contributing[0]
+        self._check_against_levels(fan, 5)
+
+    def test_relation_outside_every_codim1_star(self):
+        # p2xp1's base relation fits no exclusive codim-1 star, so level 1 is
+        # built and rejects it; its depth 2 is then certified at codim 2.
+        fan = _fresh(catalog_entry("p2xp1").fan)
+        assert filtration(fan, EXC).depth_of((1, 1, 1, 0, 0)) == 2
+        assert _built_levels(fan, EXC) == {0, 1}
+
+    def test_non_relation_fitting_a_star_gets_none(self):
+        fan = _fresh(catalog_entry("p3").fan)
+        for v in ((1, 0, 0, 0), (1, 1, 1, 0), (1, 1, 1, 2)):
+            assert filtration(fan, INC).depth_of(v) is None
+        assert _built_levels(fan, INC) == {0}
+
+    def test_zero_vector_has_depth_zero(self):
+        for entry in catalog():
+            for policy in (INC, EXC):
+                fan = _fresh(entry.fan)
+                assert filtration(fan, policy).depth_of((0,) * len(fan.rays)) == 0
 
 
 def test_member_agrees_with_oracle_on_catalog():

@@ -53,6 +53,11 @@ class TestStellarSubdivide:
             with pytest.raises(FanValidationError, match="does not have length 2"):
                 stellar_subdivide(fan, fan.cone((0, 1)), w)
 
+    def test_zero_ray_rejected(self):
+        fan = catalog_entry("p2").fan
+        with pytest.raises(FanValidationError, match="^zero ray$"):
+            stellar_subdivide(fan, fan.cone((0, 1)), (0, 0))
+
     def test_refined_fan_has_its_own_cache(self):
         fan = build_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
         before = filtration(fan, INC)
