@@ -5,8 +5,12 @@ geometry is reconstructed from the primitive ray vectors on demand.
 Simplicial input is validated exactly on one path: the ridge
 certificate of is_complete accepts a complete fan at once, and any other
 simplicial input is checked with one exact separating-hyperplane
-feasibility problem per pair of maximal cones. A fan's validation is
-"full" when it was checked and "trusted" when it was taken on trust.
+feasibility problem per pair of maximal cones. A generator with as many
+rays as the rank is simplicial iff the determinant of its rays is
+nonzero; build_fan keeps those determinants, and the ridge certificate
+reads from their signs which side of each ridge a ray lies on. A fan's
+validation is "full" when it was checked and "trusted" when it was
+taken on trust.
 Stellar subdivisions (refine.stellar_subdivide) are fans by construction
 and inherit the validation level of the fan they refine. Non-simplicial
 input is accepted only with an explicit full cone list and trust=True.
@@ -21,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import FanValidationError, InternalCheckError, NotSimplicialError
 from .intlin import IntMatrix, hnf_basis, matrix_rank, snf
-from .qsolve import cone_pair_proper, in_simplicial_cone, solve_unique
+from .qsolve import cone_pair_proper, det, in_simplicial_cone
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -74,18 +78,21 @@ class Fan:
     invariant derived from them is computed once and kept in the fan's
     private cache: the sorted and maximal cones, the ray matrix, the
     incidence map (the cones holding each ray, in cones order, from
-    which stars and maximal cones are read), completeness, the relation
-    lattice, stars, star kernels, filtration levels, the star sets of
-    each codimension per support policy as ray bitmasks (read by
-    FiltrationProfile.depth_of to certify a depth), the factored
-    ray-star system that local_decompose solves against, and, for each
-    cone that stellar_subdivide refined, the part of that subdivision
-    that does not depend on the new ray (the replaced maximal cones,
-    the refined face map, and the untouched stars with their padded
-    star kernels). A new fan starts with an empty cache, except that a
-    stellar subdivision is seeded with a copy of the stars and star
-    kernels it leaves unchanged, though never with the incidence map or
-    a subdivision of its own parent.
+    which stars are read), the determinant of the sorted rays of each
+    full-dimensional maximal cone (read by is_complete), completeness,
+    the relation lattice, stars, star kernels, filtration levels, the
+    star sets of each codimension per support policy as ray bitmasks
+    (built star by star as FiltrationProfile.depth_of needs them to
+    certify a depth), the factored ray-star system that local_decompose
+    solves against, and, for each cone that stellar_subdivide refined,
+    the part of that subdivision that does not depend on the new ray
+    (the replaced maximal cones, the refined face map, and the untouched
+    stars with their padded star kernels). A new fan starts with an
+    empty cache, except that build_fan stores the determinants of its
+    simplicial check, and a stellar subdivision is seeded with a copy of
+    the stars and star kernels it leaves unchanged, though never with
+    the incidence map, the determinants or a subdivision of its own
+    parent.
     """
 
     __slots__ = ("rank", "rays", "simplicial", "name", "asserted_complete",
@@ -121,9 +128,25 @@ class Fan:
         return self._cached("maximal", self._find_maximal)
 
     def _find_maximal(self) -> tuple[ConeRef, ...]:
-        # A cone is maximal iff no cone holding its first ray contains it strictly.
-        return tuple(c for c in self.cones if not any(
-            set(c.ray_indices) < set(o.ray_indices) for o in self._holders(c.ray_indices)))
+        # From the most rays down, a cone is maximal iff no maximal cone
+        # found so far that holds its first ray contains it.
+        found = [[] for _ in self.rays]
+        maximal = set()
+        for c in sorted(self.cones, key=lambda c: len(c.ray_indices), reverse=True):
+            key = c.ray_indices
+            if not key:
+                if not maximal:
+                    maximal.add(key)
+                continue
+            for ray_set in found[key[0]]:
+                if ray_set.issuperset(key):
+                    break
+            else:
+                ray_set = frozenset(key)
+                for i in key:
+                    found[i].append(ray_set)
+                maximal.add(key)
+        return tuple(c for c in self.cones if c.ray_indices in maximal)
 
     def _holders(self, key: tuple[int, ...]) -> tuple[ConeRef, ...]:
         """The cones holding the first ray of key, in cones order; all cones if key is empty."""
@@ -187,6 +210,15 @@ def _cone_dim(ray_vectors, idxs) -> int:
     return matrix_rank(IntMatrix([ray_vectors[i] for i in idxs]))
 
 
+def _independent(rank: int, ray_vectors, key: tuple[int, ...], dets: dict) -> bool:
+    """Whether the rays of key are independent; the determinant of rank rays is kept in dets."""
+    if len(key) != rank:
+        return _cone_dim(ray_vectors, key) == len(key)
+    if key not in dets:
+        dets[key] = det([ray_vectors[i] for i in key])
+    return dets[key] != 0
+
+
 def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
               maximal_cones: Sequence[Iterable[int]], *,
               cones: Optional[Sequence[Iterable[int]]] = None,
@@ -234,12 +266,14 @@ def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
         missing = sorted(set(range(len(rays))) - used)
         raise FanValidationError(f"rays {missing} appear in no maximal cone")
 
-    simplicial = all(_cone_dim(rays, c) == len(c) for c in gens)
-
-    if simplicial:
+    dets = {}
+    if all(_independent(rank, rays, c, dets) for c in gens):
         fan = Fan(rank, rays, simplicial_faces(rank, gens), True, name=name,
                   asserted_complete=assert_complete,
                   validation="trusted" if trust else "full")
+        # Every generator of rank rays is a maximal cone, and every
+        # full-dimensional maximal cone is a generator.
+        fan._memo["maximal_dets"] = dets
         if not trust and not is_complete(fan):
             _validate_pairwise(fan)
         return fan
@@ -303,12 +337,23 @@ def is_complete(fan: Fan) -> bool:
     *Triangulations*, ch. 4): the first three conditions keep the
     number of cones covering a generic point unchanged across every
     ridge, so that number is the same everywhere, and the last one
-    fixes it at one around an interior point of the first cone. It
-    assumes no pairwise validation, so trusted input that is not a fan
-    is answered False, and a True verdict also certifies that the cones
-    form a fan, which build_fan relies on. The verdict is cached on the
-    fan. Non-simplicial fans are only handled through an explicit
-    completeness assertion in their metadata.
+    fixes it at one around an interior point of the first cone.
+
+    The sides are read from one determinant per maximal cone. For the
+    ridge R = M - {a} of a maximal cone M, a lies on the side of R given
+    by the sign of det(R, a) = (-1)^(n-1-p) det(M), where M's rays are
+    in sorted order and p is the position of a among them. The rays
+    opposite R lie on opposite sides iff those signs differ, which is
+    Cramer's rule for the coefficient of one ray when the other is
+    written over R and it; the criterion itself is the one above. The
+    determinants are cached on the fan (build_fan stores those of its
+    simplicial check).
+
+    The test assumes no pairwise validation, so trusted input that is
+    not a fan is answered False, and a True verdict also certifies that
+    the cones form a fan, which build_fan relies on. The verdict is
+    cached on the fan. Non-simplicial fans are only handled through an
+    explicit completeness assertion in their metadata.
     """
     if not fan.simplicial:
         if fan.asserted_complete is not None:
@@ -323,19 +368,20 @@ def _covers_once(fan: Fan) -> bool:
     maximal = [c.ray_indices for c in fan.maximal_cones if c.ray_indices]
     if not maximal:
         return fan.rank == 0
-    if any(len(mc) != fan.rank for mc in maximal):
+    n = fan.rank
+    if any(len(mc) != n for mc in maximal):
         return False
-    opposite = {}
+    dets = fan._cached("maximal_dets", lambda: {
+        mc: det([fan.rays[i] for i in mc]) for mc in maximal})
+    sides = {}
     for mc in maximal:
-        for i in mc:
-            opposite.setdefault(tuple(j for j in mc if j != i), []).append(i)
-    for ridge, rays in opposite.items():
-        if len(rays) != 2:
+        d = dets[mc]
+        if not d:  # a maximal cone that is not full-dimensional
             return False
-        a, b = rays
-        # b lies across the ridge from a iff its coefficient on a is negative.
-        nums, _ = solve_unique([fan.rays[i] for i in ridge + (a,)], fan.rays[b])
-        if nums[-1] >= 0:
+        for p in range(n):
+            sides.setdefault(mc[:p] + mc[p + 1:], []).append((d > 0) ^ ((n - 1 - p) & 1))
+    for signs in sides.values():
+        if len(signs) != 2 or signs[0] == signs[1]:
             return False
     x = tuple(map(sum, zip(*(fan.rays[i] for i in maximal[0]))))
     return not any(in_simplicial_cone([fan.rays[i] for i in mc], x)

@@ -51,7 +51,8 @@ class FiltrationProfile:
     depth_of stops at the first level that contains the relation. Before
     it builds a level k >= 1 that is not cached yet, depth_of tests the
     relation's support against the star sets of the codim-k cones (int
-    bitmasks, cached on the fan per policy and k); a fit answers k for a
+    bitmasks, cached on the fan per policy and k, each star built only
+    when every mask before it failed to fit); a fit answers k for a
     relation and None for a vector that is not one, and level k is not
     built. Levels that are cached already are read by membership alone.
     """
@@ -79,7 +80,9 @@ class FiltrationProfile:
             if k and ("level", policy, k) not in fan._memo:
                 if support is None:
                     support = sum(1 << i for i, x in enumerate(relation) if x)
-                if any(not (support & ~mask) for mask in _star_masks(fan, policy, k)):
+                masks = fan._cached(("star_masks", policy, k),
+                                    lambda: _StarMasks(fan, policy, k))
+                if masks.fits(fan, support):
                     # Every level lies in the relation lattice, so a vector
                     # that is not a relation is in none of them.
                     return None if any(fan.ray_matrix().mul_vector(relation)) else k
@@ -148,11 +151,31 @@ def _build_level(fan: Fan, policy: SupportPolicy, k: int) -> tuple[Sublattice, t
     return lattice_sum([below] + parts, ambient_rank=len(fan.rays)), tuple(contribs)
 
 
-def _star_masks(fan: Fan, policy: SupportPolicy, k: int) -> tuple[int, ...]:
-    """The distinct star supports of the nonzero codim-k cones as ray bitmasks, cached."""
-    return fan._cached(("star_masks", policy, k), lambda: tuple(dict.fromkeys(
-        sum(1 << i for i in star_support(fan, cone, policy))
-        for cone in fan.cones if cone.ray_indices and cone.codim == k)))
+class _StarMasks:
+    """The distinct star supports of a fan's nonzero codim-k cones as ray bitmasks.
+
+    Stars are built in cones order, each only once a query has failed
+    to fit every mask built before it.
+    """
+
+    __slots__ = ("masks", "_policy", "_todo")
+
+    def __init__(self, fan: Fan, policy: SupportPolicy, k: int):
+        self.masks = {}
+        self._policy = policy
+        self._todo = [c for c in reversed(fan.cones) if c.ray_indices and c.codim == k]
+
+    def fits(self, fan: Fan, support: int) -> bool:
+        """Whether the ray bitmask support lies inside some codim-k star support."""
+        if any(not (support & ~mask) for mask in self.masks):
+            return True
+        while self._todo:
+            mask = sum(1 << i for i in star_support(fan, self._todo.pop(), self._policy))
+            if mask not in self.masks:
+                self.masks[mask] = None
+                if not support & ~mask:
+                    return True
+        return False
 
 
 def _require_relation(fan: Fan, r: Sequence[int], rel: RelLattice) -> tuple[int, ...]:

@@ -1,18 +1,56 @@
-"""Exact linear solves and linear feasibility in integer arithmetic.
+"""Exact linear solves, determinants and linear feasibility in integer arithmetic.
 
 Backs the geometric validation: cone membership, relative-interior
-tests, and the pairwise cone-intersection check. Both routines pivot
-fraction-free (Bareiss, Edmonds): every entry they keep is an integer
-minor of the input, so each division is exact and no rational number
-is ever formed. Solutions come back as integer numerators over one
-positive common denominator, so callers decide signs on integers; the
-feasibility test is a phase-I simplex under Bland's rule, so it always
-ends with an exact verdict.
+tests, the orientation signs of the completeness test, and the pairwise
+cone-intersection check. All of it pivots fraction-free (Bareiss,
+Edmonds): every entry kept is an integer minor of the input, so each
+division is exact and no rational number is ever formed. Solves and
+determinants share one elimination loop, _bareiss. Solutions come back
+as integer numerators over one positive common denominator, so callers
+decide signs on integers; the feasibility test is a phase-I simplex
+under Bland's rule, so it always ends with an exact verdict.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
+
+
+def _bareiss(rows: list[list[int]], k: int, reduce_above: bool) -> Optional[tuple[int, int]]:
+    """Fraction-free elimination of the first k columns of rows, in place.
+
+    Bareiss, *Math. Comp.* 22 (1968): each step scales by the new pivot
+    and divides exactly by the previous one, so the last pivot is the
+    determinant of the k pivot rows. Rows above each pivot are cleared
+    too when reduce_above is set (Gauss-Jordan). Returns (swap sign,
+    last pivot), or None when the first k columns are dependent.
+    """
+    n = len(rows)
+    scale, sign = 1, 1
+    for c in range(k):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return None
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            sign = -sign
+        prow = rows[c]
+        pivot = prow[c]
+        for i in range(0 if reduce_above else c + 1, n):
+            if i != c:
+                f = rows[i][c]
+                rows[i] = [(pivot * a - f * b) // scale for a, b in zip(rows[i], prow)]
+        scale = pivot
+    return sign, scale
+
+
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix; 1 for the 0 x 0 one."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant needs a square matrix")
+    result = _bareiss([list(row) for row in rows], n, False)
+    return 0 if result is None else result[0] * result[1]
 
 
 def solve_unique(columns: Sequence[Sequence[int]],
@@ -21,29 +59,18 @@ def solve_unique(columns: Sequence[Sequence[int]],
 
     Returns (nums, den) with den > 0 and x_j = nums[j] / den for the
     unique rational solution, or None if the system is inconsistent.
-    Raises ValueError if the columns are dependent. Fraction-free
-    Gauss-Jordan elimination (Bareiss, *Math. Comp.* 22, 1968): each
-    step scales by the new pivot and divides exactly by the previous
-    one, so every pivot row ends with the same diagonal entry, the
-    determinant of the pivot rows, and its last column holds the
-    Cramer numerators.
+    Raises ValueError if the columns are dependent. Gauss-Jordan through
+    _bareiss: every pivot row ends with the same diagonal entry, the
+    determinant of the pivot rows, and its last column holds the Cramer
+    numerators.
     """
     k = len(columns)
     n = len(target)
     rows = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    scale = 1
-    for c in range(k):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            raise ValueError("columns are linearly dependent")
-        rows[c], rows[piv] = rows[piv], rows[c]
-        prow = rows[c]
-        pivot = prow[c]
-        for i in range(n):
-            if i != c:
-                f = rows[i][c]
-                rows[i] = [(pivot * a - f * b) // scale for a, b in zip(rows[i], prow)]
-        scale = pivot
+    result = _bareiss(rows, k, True)
+    if result is None:
+        raise ValueError("columns are linearly dependent")
+    scale = result[1]
     if any(rows[i][k] for i in range(k, n)):
         return None
     sign = -1 if scale < 0 else 1

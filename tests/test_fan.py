@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -12,7 +13,7 @@ from fanlat.errors import FanValidationError, NotSimplicialError
 from fanlat.fan import (apply_unimodular, build_fan, is_complete, localize,
                         primitive, star)
 from fanlat.intlin import IntMatrix, Sublattice, hnf, sublattice_index
-from fanlat.qsolve import cone_pair_proper, fm_feasible, solve_unique
+from fanlat.qsolve import cone_pair_proper, det, fm_feasible, solve_unique
 
 P5_RAYS = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
            (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (-1, -1, -1, -1, -1)]
@@ -162,8 +163,43 @@ def _assert_stars_and_maximal_match_oracles(fan):
         assert list(ray_set) == expected_rays, (fan, cone)
 
 
+def complete_by_ridge_solves(fan):
+    """Oracle: the is_complete criterion with one Cramer solve per ridge.
+
+    Maximal cones come from the brute-force oracle and every determinant
+    from oracles.det, so nothing is shared with the orientation signs of
+    is_complete. Ridge R with opposite rays a and b is proper iff b has a
+    negative coefficient on a over the columns (R, a).
+    """
+    keys = [c.ray_indices for c in fan.cones]
+    maximal = [c for c in oracles.maximal_bruteforce(keys) if c]
+    n = fan.rank
+    if not maximal:
+        return n == 0
+    if any(len(mc) != n for mc in maximal):
+        return False
+    opposite = {}
+    for mc in maximal:
+        for a in mc:
+            opposite.setdefault(tuple(j for j in mc if j != a), []).append(a)
+    for ridge, rays in opposite.items():
+        if len(rays) != 2:
+            return False
+        a, b = rays
+        columns = [fan.rays[i] for i in ridge]
+        if oracles.det(columns + [fan.rays[b]]) / oracles.det(columns + [fan.rays[a]]) >= 0:
+            return False
+    x = [sum(entries) for entries in zip(*(fan.rays[i] for i in maximal[0]))]
+    for mc in maximal[1:]:
+        columns = [fan.rays[i] for i in mc]
+        d = oracles.det(columns)
+        if all(oracles.det(columns[:j] + [x] + columns[j + 1:]) / d >= 0 for j in range(n)):
+            return False
+    return True
+
+
 class TestIncidenceIndex:
-    """Stars and maximal cones come from the ray-to-cone incidence map; check them by brute force."""
+    """Stars from the incidence map and maximal cones from one pass; checked by brute force."""
 
     @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
     def test_catalog_fans(self, entry):
@@ -198,6 +234,38 @@ class TestIncidenceIndex:
         _assert_stars_and_maximal_match_oracles(fan)
         assert fan.maximal_cones == (fan.zero_cone,)
         assert star(fan, fan.zero_cone) == ((fan.zero_cone,), ())
+
+    @pytest.mark.parametrize("base", ["p2", "p3", "p2xp1", "sigma_c"])
+    def test_seeded_grown_fans(self, base):
+        for seed in range(4):
+            rng = random.Random(seed)
+            fan = catalog_entry(base).fan
+            for _ in range(8):
+                fan = refine_module.stellar_subdivide(
+                    fan, *refine_module.random_stellar_draw(fan, rng))
+            for grown in (fan, _rebuild(fan)):
+                _assert_stars_and_maximal_match_oracles(grown)
+                keys = [c.ray_indices for c in grown.maximal_cones]
+                assert keys == [c.ray_indices for c in grown.cones if c.ray_indices in keys]
+
+    @pytest.mark.parametrize("rank,rays,generators,maximal", [
+        # A generator that is a face of another generator.
+        (2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [0, 2], [0]],
+         [(0, 1), (0, 2), (1, 2)]),
+        # The same generator twice, in two orders.
+        (2, [(1, 0), (0, 1)], [[0, 1], [1, 0]], [(0, 1)]),
+        # A non-pure fan: a ray that lies in no 2-cone comes first in cones order.
+        (2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [2]], [(2,), (0, 1)]),
+        (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0), (0, 0, -1)],
+         [[0, 1, 2], [3, 4], [1], [2, 1, 0]], [(3, 4), (0, 1, 2)]),
+    ])
+    def test_unusual_generator_lists(self, rank, rays, generators, maximal):
+        for trust in (False, True):
+            fan = build_fan(rank, rays, generators, trust=trust)
+            _assert_stars_and_maximal_match_oracles(fan)
+            assert [c.ray_indices for c in fan.maximal_cones] == maximal
+            assert is_complete(fan) is complete_by_ridge_solves(fan)
+            assert set(fan._memo["maximal_dets"]) == {c for c in maximal if len(c) == rank}
 
 
 class TestIsComplete:
@@ -238,6 +306,98 @@ class TestIsComplete:
         # but each generic point is covered twice.
         fan = build_fan(2, TWICE_WOUND_RAYS, TWICE_WOUND_MAXIMAL, trust=True)
         assert is_complete(fan) is False
+
+
+def _perturbed(fan, rng):
+    """The maximal cones over randomly moved rays, on trust; None if build_fan rejects them."""
+    rays = [[x + rng.randint(-2, 2) for x in v] for v in fan.rays]
+    try:
+        return build_fan(fan.rank, rays, [c.ray_indices for c in fan.maximal_cones], trust=True)
+    except FanValidationError:
+        return None
+
+
+def _polygon(rng, turns):
+    """Trusted rank-2 fan whose 2-cones wind `turns` times around the origin, or None."""
+    angles, t = [], 0.0
+    while t < 2 * math.pi * turns - 0.5:
+        angles.append(t)
+        t += rng.uniform(0.3, 2.5)
+    rays = [primitive((round(40 * math.cos(a)), round(40 * math.sin(a)))) for a in angles]
+    k = len(rays)
+    cones = [(i, (i + 1) % k) for i in range(k)]
+    # Every consecutive pair, the closing one included, must turn left by less than pi.
+    if len(set(rays)) < k or any(
+            rays[i][0] * rays[j][1] - rays[i][1] * rays[j][0] <= 0 for i, j in cones):
+        return None
+    return build_fan(2, rays, cones, trust=True)
+
+
+class TestCompletenessOracle:
+    """is_complete reads the signs of maximal-cone determinants; check it by ridge solves."""
+
+    def fans(self):
+        rng = random.Random(12)
+        grown = []
+        for entry in catalog():
+            grown.append(entry.fan)
+            if not entry.known["complete"]:
+                continue
+            for seed in range(3):
+                chain_rng = random.Random(seed)
+                fan = entry.fan
+                for _ in range(6):
+                    fan = refine_module.stellar_subdivide(
+                        fan, *refine_module.random_stellar_draw(fan, chain_rng))
+                    grown.append(fan)
+        yield from grown
+        perturbed = 0
+        while perturbed < 450:
+            fan = _perturbed(rng.choice(grown), rng)
+            if fan is not None:
+                perturbed += 1
+                yield fan
+        for turns in (1, 2) * 200:
+            fan = _polygon(rng, turns)
+            if fan is not None:
+                yield fan
+        yield build_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (0, 2)], trust=True)
+        yield build_fan(2, TWICE_WOUND_RAYS, TWICE_WOUND_MAXIMAL, trust=True)
+
+    def test_verdicts_match_ridge_solves(self):
+        verdicts = {True: 0, False: 0}
+        for fan in self.fans():
+            expected = complete_by_ridge_solves(fan)
+            assert is_complete(fan) is expected, fan.rays
+            verdicts[expected] += 1
+        assert sum(verdicts.values()) >= 800 and min(verdicts.values()) >= 150, verdicts
+
+    def test_built_fans_reuse_the_determinants_of_the_simplicial_check(self, monkeypatch):
+        fan = _rebuild(catalog_entry("p2xp1").fan)
+        assert set(fan._memo["maximal_dets"]) == {c.ray_indices for c in fan.maximal_cones}
+        calls = []
+        real_det = fan_module.det
+        monkeypatch.setattr(fan_module, "det", lambda rows: calls.append(rows) or real_det(rows))
+        assert is_complete(fan)
+        assert calls == []
+
+    def test_other_fans_compute_one_determinant_per_maximal_cone(self, monkeypatch):
+        parent = _rebuild(catalog_entry("p3").fan)
+        assert is_complete(parent)
+        refined = refine_module.stellar_subdivide(parent, parent.cone((0, 1)), (1, 1, 0))
+        image = apply_unimodular(parent, IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+        # A subdivision is seeded with stars and star kernels only.
+        assert "maximal_dets" not in refined._memo and "maximal_dets" not in image._memo
+        calls = []
+        real_det = fan_module.det
+        monkeypatch.setattr(fan_module, "det", lambda rows: calls.append(rows) or real_det(rows))
+        for fan in (refined, image):
+            calls.clear()
+            assert is_complete(fan)
+            assert len(calls) == len(fan.maximal_cones)
+            for mc in fan.maximal_cones:
+                assert fan._memo["maximal_dets"][mc.ray_indices] == oracles.det(
+                    [fan.rays[i] for i in mc.ray_indices])
 
 
 class TestLocalize:
@@ -415,6 +575,45 @@ class TestSolveUnique:
             solve_unique([(1, 2), (2, 4)], (1, 2))
         with pytest.raises(ValueError):
             solve_unique([(1, 0), (0, 1), (1, 1)], (1, 1))  # more columns than rows
+
+
+class TestDet:
+    def test_empty_matrix(self):
+        assert det([]) == 1
+
+    @pytest.mark.parametrize("bound", [3, 10 ** 6, 2 ** 200])
+    def test_matches_oracle(self, bound):
+        rng = random.Random(bound)
+        kinds = {"singular": 0, "swap": 0, "negative": 0}
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            if n > 2 and rng.random() < 0.25:
+                i, j, k = rng.sample(range(n), 3)
+                rows[i] = [2 * a - 3 * b for a, b in zip(rows[j], rows[k])]
+            if n > 1 and rng.random() < 0.3:
+                rows[0][0] = 0  # the first pivot needs a row swap
+            expected = oracles.det(rows)
+            assert det(rows) == expected, rows
+            kinds["singular"] += expected == 0
+            kinds["swap"] += n > 1 and rows[0][0] == 0 and expected != 0
+            kinds["negative"] += expected < 0
+        assert all(kinds.values()), kinds
+
+    def test_known_instances(self):
+        assert det([[7]]) == 7
+        assert det([[0, 1], [1, 0]]) == -1  # one swap
+        assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+        assert det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1  # two swaps
+        assert det([[1, 2], [2, 4]]) == 0
+        assert det([[0, 0], [1, 1]]) == 0  # a column with no pivot
+        big = 2 ** 200
+        assert det([[big, 1], [1, big]]) == big * big - 1
+        assert det([[-big, big], [big, big]]) == -2 * big * big
+        rows = ((2, 1), (1, 3))
+        assert det(rows) == 5 and rows == ((2, 1), (1, 3))  # input left unchanged
+        with pytest.raises(ValueError):
+            det([[1, 2]])
 
 
 @pytest.fixture

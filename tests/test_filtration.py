@@ -217,6 +217,25 @@ class TestDepthBySupportCertificate:
             assert filtration(fan, INC).depth_of(v) is None
         assert _built_levels(fan, INC) == {0}
 
+    def test_stars_are_built_until_one_fits(self):
+        def built_stars(fan):
+            return {key[1] for key in fan._memo if key[0] == "star"}
+
+        fan = _fresh(catalog_entry("p3").fan)
+        assert filtration(fan, INC).depth_of((1, 1, 1, 1)) == 1
+        assert built_stars(fan) == {(0, 1)}  # the first codim-1 star fits
+        # p2xp1's codim-1 cones in cones order start (0, 1), (0, 2), (0, 3).
+        fan = _fresh(catalog_entry("p2xp1").fan)
+        profile = filtration(fan, INC)
+        assert profile.depth_of((0, 0, 0, 1, 1)) == 1
+        assert built_stars(fan) == {(0, 1)}
+        assert profile.depth_of((1, 1, 1, 0, 0)) == 1
+        assert built_stars(fan) == {(0, 1), (0, 2), (0, 3)}
+        # Later queries test the masks built so far before building more.
+        assert profile.depth_of((0, 0, 0, 2, 2)) == profile.depth_of((2, 2, 2, 0, 0)) == 1
+        assert built_stars(fan) == {(0, 1), (0, 2), (0, 3)}
+        assert _built_levels(fan, INC) == {0}
+
     def test_zero_vector_has_depth_zero(self):
         for entry in catalog():
             for policy in (INC, EXC):
