@@ -243,10 +243,8 @@ class TestIncidenceIndex:
             for _ in range(8):
                 fan = refine_module.stellar_subdivide(
                     fan, *refine_module.random_stellar_draw(fan, rng))
-            for grown in (fan, _rebuild(fan)):
-                _assert_stars_and_maximal_match_oracles(grown)
-                keys = [c.ray_indices for c in grown.maximal_cones]
-                assert keys == [c.ray_indices for c in grown.cones if c.ray_indices in keys]
+            _assert_stars_and_maximal_match_oracles(fan)
+            _assert_stars_and_maximal_match_oracles(_rebuild(fan))
 
     @pytest.mark.parametrize("rank,rays,generators,maximal", [
         # A generator that is a face of another generator.
