@@ -80,18 +80,23 @@ class Fan:
     incidence map (the cones holding each ray, in cones order, from
     which stars are read), the determinant of the sorted rays of each
     full-dimensional maximal cone (read by is_complete), completeness,
-    the relation lattice, stars, star kernels, filtration levels, the
-    star sets of each codimension per support policy as ray bitmasks
-    (built star by star as FiltrationProfile.depth_of needs them to
-    certify a depth), the factored ray-star system that local_decompose
-    solves against, and, for each cone that stellar_subdivide refined,
-    the part of that subdivision that does not depend on the new ray
-    (the replaced maximal cones, the refined face map, and the untouched
-    stars with their padded star kernels). A new fan starts with an
-    empty cache, except that build_fan stores the determinants of its
-    simplicial check, and a stellar subdivision is seeded with a copy of
-    the stars and star kernels it leaves unchanged, though never with
-    the incidence map, the determinants or a subdivision of its own
+    the relation lattice, stars, star kernels (keyed by their sorted
+    support, so cones and policies with one support share one kernel),
+    filtration levels, the star sets of every codim-k cone of a
+    simplicial fan (read from one pass over the maximal cones when a
+    level is built), the star supports of each codimension per support
+    policy as ray bitmasks (built star by star as
+    FiltrationProfile.depth_of needs them to certify a depth), the
+    factored ray-star system that local_decompose solves against, and,
+    for each cone that stellar_subdivide refined, the part of that
+    subdivision that does not depend on the new ray (the replaced
+    maximal cones, the refined face map, the untouched stars and the
+    padded star kernels). A new fan starts with an empty cache, except
+    that build_fan stores the determinants of its simplicial check, and
+    a stellar subdivision is seeded with its parent's stars that it
+    leaves unchanged and with every star kernel of its parent, padded
+    with a zero for the new ray, though never with the incidence map,
+    the determinants, the star-set tables or a subdivision of its own
     parent.
     """
 
@@ -200,7 +205,8 @@ def simplicial_faces(rank: int, maximal_cones: Sequence[tuple[int, ...]]) -> dic
     for c in maximal_cones:
         for size in range(1, len(c) + 1):
             for face in combinations(c, size):
-                cone_map.setdefault(face, ConeRef(face, size, rank - size))
+                if face not in cone_map:
+                    cone_map[face] = ConeRef(face, size, rank - size)
     return cone_map
 
 

@@ -7,7 +7,11 @@ which happens on non-complete fans, under the exclusive policy, and on
 some complete fans whose relations are not all locally generated).
 
 Levels are built on demand, each from the one below, and cached on the
-fan, so a depth query builds only the levels up to the answer. Three
+fan, so a depth query builds only the levels up to the answer. Level k
+of a simplicial fan reads the star sets of all its codim-k cones from
+one pass over the maximal cones, and asks each star kernel of the fan
+by its support, so cones and policies with one support share one
+kernel; a depth query's certificate still builds single stars. Three
 exact shortcuts skip work: on a simplicial fan a codim-0 cone's star
 kernel is zero (the cone is its own star and its rays are independent);
 a level that gains no generator is the level below it, which makes
@@ -30,6 +34,7 @@ further relation costs one back-substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import (InternalCheckError, NotARelationError, NotCompleteError,
@@ -37,7 +42,8 @@ from .errors import (InternalCheckError, NotARelationError, NotCompleteError,
 from .fan import ConeRef, Fan, is_complete, star
 from .intlin import (ColumnFactor, IntMatrix, Sublattice, factor_columns, lattice_equal,
                      lattice_sum, member, solve_factored)
-from .lattices import RelLattice, SupportPolicy, rel_lattice, rel_lattice_star, star_support
+from .lattices import (RelLattice, SupportPolicy, _policy_support, _star_kernel, rel_lattice,
+                       rel_lattice_star, star_support)
 
 
 @dataclass(frozen=True)
@@ -140,15 +146,46 @@ def _build_level(fan: Fan, policy: SupportPolicy, k: int) -> tuple[Sublattice, t
     # The star of a codim-0 cone of a simplicial fan is the cone alone,
     # whose rays are independent, so its kernel is zero under both policies.
     if k or not fan.simplicial:
-        for cone in fan.cones:
-            if cone.ray_indices and cone.codim == k:
-                local = rel_lattice_star(fan, cone, policy).sublattice
-                if local.rank:
-                    contribs.append((cone, local.rank))
-                    parts.append(local)
+        for cone, support in _codim_supports(fan, policy, k):
+            local = _star_kernel(fan, support).sublattice
+            if local.rank:
+                contribs.append((cone, local.rank))
+                parts.append(local)
     if not parts:
         return below, ()
     return lattice_sum([below] + parts, ambient_rank=len(fan.rays)), tuple(contribs)
+
+
+def _codim_supports(fan: Fan, policy: SupportPolicy, k: int) -> list:
+    """(cone, star support) for every nonzero codim-k cone, in cones order.
+
+    A simplicial fan reads the star sets from its table for codim k;
+    any other fan builds each star.
+    """
+    cones = [c for c in fan.cones if c.ray_indices and c.codim == k]
+    if not cones or not fan.simplicial:
+        return [(c, star_support(fan, c, policy)) for c in cones]
+    star_sets = fan._cached(("star_sets", k), lambda: _star_sets(fan, fan.rank - k))
+    return [(c, _policy_support(star_sets[c.ray_indices], c.ray_indices, policy)) for c in cones]
+
+
+def _star_sets(fan: Fan, dim: int) -> dict:
+    """The sorted star rays of every dim-dimensional cone of a simplicial fan.
+
+    Every cone containing a face lies in a maximal cone containing it,
+    so the star set of a face is the union of the maximal cones holding
+    it: one pass over the maximal cones adds each one's rays to each of
+    its dim-subsets.
+    """
+    sets = {}
+    for mc in fan.maximal_cones:
+        for face in combinations(mc.ray_indices, dim):
+            rays = sets.get(face)
+            if rays is None:
+                sets[face] = set(mc.ray_indices)
+            else:
+                rays.update(mc.ray_indices)
+    return {face: tuple(sorted(rays)) for face, rays in sets.items()}
 
 
 class _StarMasks:

@@ -6,11 +6,20 @@ map to a star's ray set; the support policy decides whether the rays of
 the defining cone participate (inclusive) or not (exclusive). Local
 lattices are re-embedded into the global ray coordinates by extension
 with zeros, so they can be compared and summed there.
+
+A star kernel depends on its support alone, the sorted rays it may
+touch, and not on the cone or the policy that named it. So it is cached
+on the fan under ("kernel", support): cones with equal star sets share
+one kernel, and so do the two policies where their supports coincide.
+A support of at most rank + 1 rays whose kernel has rank 0 or 1 gets
+that kernel from one fraction-free elimination of its rays; every other
+support takes the Hermite elimination of integer_kernel.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -93,14 +102,69 @@ def _embedded_kernel(fan: Fan, support: Sequence[int]) -> Sublattice:
     basis keeps every pivot order and is itself canonical.
     """
     m = len(fan.rays)
-    kernel = integer_kernel(IntMatrix._of([fan.rays[i] for i in support], fan.rank).transpose())
+    columns = [fan.rays[i] for i in support]
+    basis = _kernel_of_corank_one(columns, fan.rank) if len(columns) <= fan.rank + 1 else None
+    if basis is None:
+        basis = integer_kernel(IntMatrix._of(columns, fan.rank).transpose()).basis_rows
     gens = []
-    for row in kernel.basis_rows:
+    for row in basis:
         vec = [0] * m
-        for pos, i in enumerate(support):
-            vec[i] = row[pos]
+        for i, x in zip(support, row):
+            vec[i] = x
         gens.append(vec)
     return Sublattice._from_canonical(m, gens)
+
+
+def _kernel_of_corank_one(columns: Sequence[Sequence[int]], n: int) -> Optional[list]:
+    """The canonical kernel basis of the n x k matrix with these columns, if its rank is k or k - 1.
+
+    One fraction-free elimination to echelon form (Bareiss, as in
+    qsolve._bareiss) that skips a column without a pivot. No free column
+    means the kernel is zero. One free column f: the last pivot d is,
+    up to sign, the determinant of the pivot columns in the rows that
+    hold the pivots, so by Cramer's rule the kernel vector with d at f
+    is integral, and back-substitution finds it with exact divisions.
+    Made primitive with its leading entry positive, it is the canonical
+    HNF basis of the rank-one kernel. Returns None when two or more
+    columns are free.
+    """
+    k = len(columns)
+    if not k:
+        return []
+    rows = [list(row) for row in zip(*columns)]
+    pivot_cols, free, scale = [], None, 1
+    r = 0
+    for c in range(k):
+        for piv in range(r, n):
+            if rows[piv][c]:
+                break
+        else:
+            if free is not None:
+                return None
+            free = c
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        pivot = prow[c]
+        for i in range(r + 1, n):
+            f = rows[i][c]
+            rows[i] = [(pivot * a - f * b) // scale for a, b in zip(rows[i], prow)]
+        pivot_cols.append(c)
+        scale = pivot
+        r += 1
+    if free is None:
+        return []
+    vec = [0] * k
+    vec[free] = scale
+    for row, c in zip(reversed(rows[:r]), reversed(pivot_cols)):
+        vec[c] = -sum(a * b for a, b in zip(row[c + 1:], vec[c + 1:])) // row[c]
+    g = 0
+    for x in vec:
+        g = math.gcd(g, x)
+    if next(filter(None, vec)) < 0:
+        g = -g
+    return [tuple(x // g for x in vec)]
 
 
 def _pad_rel_lattice(rel: RelLattice) -> RelLattice:
@@ -120,54 +184,63 @@ def _seed_untouched_stars(entries, replaced: Sequence[set]) -> dict:
     holds the ray sets of the parent's maximal cones that the
     subdivision replaces. A cone tau in none of them has only unchanged
     maximal cones around it, and no new cone contains it, so its star
-    is the parent's and its star kernels are the parent's padded with a
-    zero for the new ray, which is last. The result holds those stars
-    and padded kernels under their keys; it does not depend on the new
-    ray, so one result serves every subdivision of the same cone.
+    is the parent's. Every star kernel stays valid: it depends only on
+    its support, whose rays keep their indices, so in the refined fan it
+    is the parent's padded with a zero for the new ray, which is last.
+    The result holds the untouched stars and every padded kernel under
+    their keys; it does not depend on the new ray, so one result serves
+    every subdivision of the same cone.
     """
     seeds = {}
     for key, value in entries:
-        if not (isinstance(key, tuple) and key[0] in ("star", "rel_lattice_star")):
+        if not isinstance(key, tuple):
             continue
-        if any(set(key[1]) <= mset for mset in replaced):
-            continue
-        seeds[key] = value if key[0] == "star" else _pad_rel_lattice(value)
+        if key[0] == "kernel":
+            seeds[key] = _pad_rel_lattice(value)
+        elif key[0] == "star" and not any(set(key[1]) <= mset for mset in replaced):
+            seeds[key] = value
     return seeds
 
 
 def rel_lattice_star(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> RelLattice:
     """Relations supported on the star of tau, in global ray coordinates.
 
-    Computed once per (cone, policy) and cached on the fan.
+    The star kernel of star_support(fan, tau, policy), shared through
+    the fan's cache by every cone and policy with that support.
     """
     if not tau.ray_indices:
         raise FanValidationError("the zero cone has no star-supported relation lattice")
-    return fan._cached(("rel_lattice_star", tuple(sorted(tau.ray_indices)), policy),
-                       lambda: _star_kernel(fan, tau, policy))
+    return _star_kernel(fan, star_support(fan, tau, policy))
 
 
-def star_support(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> list[int]:
+def star_support(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> tuple[int, ...]:
     """The sorted rays a relation supported on the star of tau may touch.
 
     Those are the star's rays under the inclusive policy and the star's
     rays outside tau under the exclusive one.
     """
-    _, ray_set = star(fan, tau)
+    return _policy_support(star(fan, tau)[1], tau.ray_indices, policy)
+
+
+def _policy_support(star_rays: tuple[int, ...], cone_rays: tuple[int, ...],
+                    policy: SupportPolicy) -> tuple[int, ...]:
+    """The sorted star rays that star_support keeps for a cone with these rays under policy."""
     if policy is SupportPolicy.EXCLUSIVE:
-        return [i for i in ray_set if i not in tau.ray_indices]
-    return list(ray_set)
+        return tuple(i for i in star_rays if i not in cone_rays)
+    return star_rays
 
 
-def _star_kernel(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> RelLattice:
-    return RelLattice(ray_labels=tuple(range(len(fan.rays))),
-                      sublattice=_embedded_kernel(fan, star_support(fan, tau, policy)))
+def _star_kernel(fan: Fan, support: tuple[int, ...]) -> RelLattice:
+    """Relations supported on the sorted ray tuple support, cached on the fan."""
+    return fan._cached(("kernel", support), lambda: RelLattice(
+        ray_labels=tuple(range(len(fan.rays))), sublattice=_embedded_kernel(fan, support)))
 
 
 def rel_lattice_internal(fan: Fan, tau: ConeRef) -> RelLattice:
     """Relations among tau's own rays, in global ray coordinates."""
     tau = fan.cone(tau.ray_indices)
     return RelLattice(ray_labels=tuple(range(len(fan.rays))),
-                      sublattice=_embedded_kernel(fan, list(tau.ray_indices)))
+                      sublattice=_embedded_kernel(fan, tau.ray_indices))
 
 
 def rel_lattice_localized(fan: Fan, tau: ConeRef) -> RelLattice:

@@ -69,9 +69,10 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
     and each new cone stays simplicial because w has a nonzero
     coefficient on the ray it replaces) and carries over the input's
     validation level and warnings. Its cache starts with the input's
-    cached stars and star kernels of every cone in no maximal cone
-    containing sigma, the kernels padded with a zero for w, which is
-    the last ray.
+    cached stars of every cone in no maximal cone containing sigma, and
+    with every star kernel the input cached: a kernel is keyed by its
+    support, whose rays keep their indices, so it stays valid padded
+    with a zero for w, which is the last ray.
 
     Which cones the subdivision replaces and creates, and which cached
     stars it keeps, depend on sigma and not on w. That part is worked
@@ -111,8 +112,8 @@ class _SubdivisionSkeleton:
 
     replaced holds the ray sets of the maximal cones containing sigma,
     and faces the face map of the refined fan, whose new ray is index
-    len(fan.rays). seeds(fan) returns the fan's untouched stars and
-    padded star kernels; it pads each cache entry of the fan once and
+    len(fan.rays). seeds(fan) returns the fan's untouched stars and all
+    its star kernels, padded; it pads each cache entry of the fan once and
     takes in entries cached after the skeleton was made the next time
     it is asked. Every seed is exact and the seeds only grow, so two
     threads asking at once can at worst pad an entry twice.
@@ -136,7 +137,7 @@ class _SubdivisionSkeleton:
         self._seeds, self._scanned = {}, 0
 
     def seeds(self, fan: Fan) -> dict:
-        """The untouched stars and padded star kernels of fan, the skeleton's parent."""
+        """The untouched stars and every padded star kernel of fan, the skeleton's parent."""
         if len(fan._memo) > self._scanned:
             entries = list(fan._memo.items())
             self._seeds.update(_seed_untouched_stars(entries[self._scanned:], self.replaced))

@@ -391,7 +391,7 @@ class TestScanBuildsOnlyWhatItReads:
 
             monkeypatch.setattr(module, name, recorder)
 
-        spy("fanlat.lattices", "_star_kernel", "kernel")
+        spy("fanlat.lattices", "_embedded_kernel", "kernel")
         spy("fanlat.filtration", "_build_level", "level")
         spy("fanlat.fan", "_star", "star")
         path = tmp_path / "p3.json"

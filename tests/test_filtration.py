@@ -12,8 +12,10 @@ from fanlat.fan import build_fan, star
 from fanlat.filtration import (check_generation, depth, filtration,
                                local_decompose)
 from fanlat.intlin import Sublattice, lattice_equal, member
-from fanlat.lattices import SupportPolicy, rel_lattice
+from fanlat.lattices import SupportPolicy, rel_lattice, rel_lattice_star, star_support
 from fanlat.refine import random_stellar_draw, stellar_subdivide
+
+filtration_module = importlib.import_module("fanlat.filtration")
 
 INC = SupportPolicy.INCLUSIVE
 EXC = SupportPolicy.EXCLUSIVE
@@ -94,13 +96,16 @@ class TestLevelsOnDemand:
                         [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
         assert filtration(fan, INC).depth_of((1, 1, 1, 1)) == 1
         assert _built_levels(fan, INC) == {0}
-        assert not any(key[0] == "rel_lattice_star" for key in fan._memo)
+        assert not any(key[0] == "kernel" for key in fan._memo)
         # Without a certificate, depth_of builds exactly the levels up to the depth.
         fan = p2_refinement_fan()
         assert filtration(fan, INC).depth_of((1, 0, 0, 0, 0, 0, 1)) == 1
         assert _built_levels(fan, INC) == {0, 1}
-        kernels = {key[1] for key in fan._memo if key[0] == "rel_lattice_star"}
-        assert kernels == {(i,) for i in range(7)}
+        kernels = {key[1] for key in fan._memo if key[0] == "kernel"}
+        # Level 1 needs the kernel of each ray's star, and no other; the
+        # seven stars have seven distinct ray sets.
+        assert kernels == {star_support(fan, fan.cone((i,)), INC) for i in range(7)}
+        assert len(kernels) == 7
         fan = hexagon_fan()
         assert filtration(fan, INC).depth_of((2, 0, 0, 1, 2, -1)) is None
         assert _built_levels(fan, INC) == {0, 1, 2}
@@ -166,6 +171,54 @@ def _probe_vectors(fan, rng):
         coeffs = [rng.randint(-2, 2) for _ in basis]
         vectors.append(tuple(sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(m)))
     return vectors + [tuple(int(i == j) for j in range(m)) for i in range(m)]
+
+
+def _non_pure_fan():
+    """Trusted simplicial rank-3 fan with a maximal cone of each dimension 1, 2 and 3."""
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0), (0, -1, -1)]
+    return build_fan(3, rays, [(0, 1, 2), (2, 3), (4,)], trust=True)
+
+
+class TestStarSetTable:
+    """Level building reads every codim-k star set of a simplicial fan from one table."""
+
+    @staticmethod
+    def _fans():
+        fans = [_fresh(entry.fan) for entry in catalog() if entry.fan.simplicial]
+        for name, seed in (("p2", 3), ("p3", 4), ("p2xp1", 5), ("blowup_p2", 6)):
+            fans.extend(_fresh(fan) for fan in _subdivision_chain(name, seed, steps=4))
+        return fans + [_non_pure_fan()]
+
+    def test_table_matches_stars(self):
+        for fan in self._fans():
+            for dim in range(1, fan.rank + 1):
+                expected = {c.ray_indices: star(fan, c)[1] for c in fan.cones
+                            if len(c.ray_indices) == dim}
+                assert filtration_module._star_sets(fan, dim) == expected, (fan, dim)
+
+    def test_levels_sum_the_star_kernels_of_their_cones(self):
+        for fan in self._fans():
+            m = len(fan.rays)
+            for policy in (INC, EXC):
+                profile = filtration(_fresh(fan), policy)
+                for k in range(fan.rank + 1):
+                    rows = [row for c in fan.cones if c.ray_indices and c.codim <= k
+                            for row in rel_lattice_star(fan, c, policy).basis_rows]
+                    assert profile.levels[k] == Sublattice(m, rows), (fan, policy, k)
+                    assert [cone.ray_indices for cone, _ in profile.contributing[k]] == [
+                        c.ray_indices for c in fan.cones if c.ray_indices and c.codim == k
+                        and rel_lattice_star(fan, c, policy).rank], (fan, policy, k)
+
+    def test_levels_build_no_star_and_depth_queries_no_table(self):
+        fan = _fresh(catalog_entry("p2xp1").fan)
+        filtration(fan, INC).levels
+        filtration(fan, EXC).levels
+        assert not any(key[0] == "star" for key in fan._memo)
+        assert {key[1] for key in fan._memo if key[0] == "star_sets"} == {1, 2}
+        fan = _fresh(catalog_entry("p3").fan)
+        assert filtration(fan, INC).depth_of((1, 1, 1, 1)) == 1
+        assert any(key[0] == "star" for key in fan._memo)
+        assert not any(key[0] == "star_sets" for key in fan._memo)
 
 
 class TestDepthBySupportCertificate:

@@ -7,10 +7,11 @@ from fanlat import lattices as lattices_module
 from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError
 from fanlat.fan import apply_unimodular, build_fan
-from fanlat.intlin import IntMatrix, Sublattice, lattice_equal, member
+from fanlat.filtration import filtration
+from fanlat.intlin import IntMatrix, Sublattice, integer_kernel, lattice_equal, member
 from fanlat.lattices import (SupportPolicy, class_group, ray_lattice,
                              rel_lattice, rel_lattice_internal,
-                             rel_lattice_localized, rel_lattice_star)
+                             rel_lattice_localized, rel_lattice_star, star_support)
 
 INC = SupportPolicy.INCLUSIVE
 EXC = SupportPolicy.EXCLUSIVE
@@ -203,3 +204,122 @@ class TestStructuralInvariants:
                 u = IntMatrix(oracles.random_unimodular(rng, fan.rank))
                 after = rel_lattice(apply_unimodular(fan, u))
                 assert after.basis_rows == before.basis_rows, entry.name
+
+
+def _random_columns(rng, n, k):
+    """k columns of length n, entries in [-3, 3], with zero, repeated and dependent columns."""
+    rank = rng.randint(0, n) if rng.random() < 0.3 else n
+    span = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+    columns = []
+    for _ in range(k):
+        kind = rng.random()
+        if kind < 0.1 or not span:
+            col = [0] * n
+        elif kind < 0.2 and columns:
+            col = list(rng.choice(columns))
+        elif kind < 0.35 and len(columns) >= 2:
+            a, b = rng.sample(columns, 2)
+            s, t = rng.choice([-2, -1, 1, 2]), rng.choice([-2, -1, 1, 2])
+            col = [s * x + t * y for x, y in zip(a, b)]
+        elif rank < n:
+            coeffs = [rng.randint(-2, 2) for _ in span]
+            col = [sum(c * v[i] for c, v in zip(coeffs, span)) for i in range(n)]
+        else:
+            col = [rng.randint(-3, 3) for _ in range(n)]
+        columns.append(tuple(col))
+    return columns
+
+
+def _box_points(basis, k, bound):
+    """The points of the lattice spanned by at most one vector with every entry in [-bound, bound]."""
+    if not basis:
+        return {(0,) * k}
+    (v,) = basis
+    return {tuple(t * x for x in v) for t in range(-bound, bound + 1)
+            if all(abs(t * x) <= bound for x in v)}
+
+
+class TestCorankOneKernel:
+    """The closed-form kernel of a support of at most rank + 1 rays."""
+
+    def test_matches_integer_kernel_and_brute_force(self):
+        rng = random.Random(1312)
+        seen = {0: 0, 1: 0, None: 0}
+        brute = 0
+        for trial in range(3000):
+            n = rng.randint(1, 5)
+            k = rng.randint(0, n + 1)
+            columns = _random_columns(rng, n, k)
+            closed = lattices_module._kernel_of_corank_one(columns, n)
+            kernel = integer_kernel(IntMatrix.from_columns(columns, height=n))
+            if closed is None:
+                assert kernel.rank >= 2, columns
+                seen[None] += 1
+                continue
+            # Bit for bit: the same rows, in the same canonical form.
+            assert tuple(closed) == kernel.basis_rows, columns
+            seen[len(closed)] += 1
+            if trial % 4 == 0:
+                bound = 2 if k <= 4 else 1
+                found = set(oracles.kernel_vectors_bruteforce(columns, bound))
+                assert found == _box_points(closed, k, bound), columns
+                brute += 1
+        assert min(seen.values()) > 300, seen
+        assert brute > 500
+
+    def test_known_kernels(self):
+        corank_one = lattices_module._kernel_of_corank_one
+        assert corank_one([], 2) == []
+        assert corank_one([(0, 0)], 2) == [(1,)]
+        assert corank_one([(1, 0), (0, 1)], 2) == []
+        assert corank_one([(1, 0), (0, 1), (-1, -1)], 2) == [(1, 1, 1)]
+        assert corank_one([(2, 4), (-1, -2)], 2) == [(1, 2)]
+        assert corank_one([(0, 1), (0, 0), (1, 0)], 2) == [(0, 1, 0)]
+        assert corank_one([(1, 0), (2, 0), (3, 0)], 2) is None
+
+    def test_star_kernels_take_the_closed_form_or_the_hermite_path(self, monkeypatch):
+        calls = []
+        real = lattices_module.integer_kernel
+        monkeypatch.setattr(lattices_module, "integer_kernel",
+                            lambda m: calls.append(m.cols) or real(m))
+        fan = catalog_entry("p2xp1").fan
+        small = rel_lattice_star(fan, fan.cone((0, 3)), INC)
+        assert small.basis_rows == ((1, 1, 1, 0, 0),) and calls == []
+        # The star of ray 0 has all five rays, more than rank + 1.
+        whole = rel_lattice_star(fan, fan.cone((0,)), INC)
+        assert whole.rank == 2 and calls == [5]
+
+
+class TestStarKernelSharing:
+    """A star kernel is cached by its support, whatever cone or policy names it."""
+
+    def test_equal_star_sets_share_one_kernel(self):
+        fan = catalog_entry("p2").fan
+        # Every ray of p2 has all three rays in its star.
+        first = rel_lattice_star(fan, fan.cone((0,)), INC)
+        assert first is rel_lattice_star(fan, fan.cone((1,)), INC)
+        assert first is rel_lattice_star(fan, fan.cone((2,)), INC)
+        assert first is fan._memo["kernel", (0, 1, 2)]
+
+    def test_exclusive_and_inclusive_supports_that_coincide_share_one_kernel(self):
+        fan = catalog_entry("p2").fan
+        # Ray 0's star minus ray 0 is the maximal cone (1, 2), its own star.
+        exclusive = rel_lattice_star(fan, fan.cone((0,)), EXC)
+        assert exclusive is rel_lattice_star(fan, fan.cone((1, 2)), INC)
+        assert exclusive is fan._memo["kernel", (1, 2)]
+
+    def test_levels_build_one_kernel_per_support(self):
+        for entry in catalog():
+            fan = build_fan(entry.fan.rank, entry.fan.rays,
+                            [c.ray_indices for c in entry.fan.maximal_cones],
+                            cones=[c.ray_indices for c in entry.fan.cones], trust=True)
+            for policy in (INC, EXC):
+                filtration(fan, policy).levels
+            supports = {star_support(fan, cone, policy)
+                        for cone in fan.cones if cone.ray_indices and (cone.codim or not fan.simplicial)
+                        for policy in (INC, EXC)}
+            assert {key[1] for key in fan._memo if key[0] == "kernel"} == supports, entry.name
+            for cone in fan.cones[1:]:
+                for policy in (INC, EXC):
+                    assert (rel_lattice_star(fan, cone, policy)
+                            is fan._memo["kernel", star_support(fan, cone, policy)])

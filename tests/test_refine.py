@@ -8,7 +8,7 @@ from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError, NotARelationError
 from fanlat.fan import build_fan, is_complete, star
 from fanlat.filtration import filtration, local_decompose
-from fanlat.lattices import SupportPolicy, rel_lattice, rel_lattice_star
+from fanlat.lattices import SupportPolicy, _star_kernel, rel_lattice, rel_lattice_star
 from fanlat.refine import (DepthRecord, conjecture_scan, random_stellar_draw,
                            refinement_injection, stellar_subdivide)
 
@@ -106,6 +106,14 @@ class TestStellarSubdivide:
                 assert is_complete(refined), entry.name
 
 
+def _kernel_keys(fan):
+    return {key for key in fan._memo if key[0] == "kernel"}
+
+
+def _star_keys(fan):
+    return {key[1] for key in fan._memo if key[0] == "star"}
+
+
 def _fresh_copy(fan):
     """The same fan built from nothing, with an empty cache."""
     return build_fan(fan.rank, fan.rays, [mc.ray_indices for mc in fan.maximal_cones],
@@ -130,10 +138,14 @@ class TestSeededSubdivision:
                 draw = random_stellar_draw(fan, rng)
                 assert draw is not None
                 seeded = stellar_subdivide(fan, *draw)
-                seeded_entries += sum(1 for key in seeded._memo
-                                      if key[0] == "rel_lattice_star")
+                kernels = _kernel_keys(seeded)
+                # Every parent kernel stays valid in the refinement.
+                assert kernels == _kernel_keys(fan)
+                seeded_entries += len(kernels)
                 fresh = _fresh_copy(seeded)
                 assert fresh == seeded
+                for key in kernels:
+                    assert seeded._memo[key] == _star_kernel(fresh, key[1]), (entry.name, key)
                 for cone in fresh.cones:
                     if not cone.ray_indices:
                         continue
@@ -154,10 +166,18 @@ class TestSeededSubdivision:
         for cone in parent.cones[1:]:
             rel_lattice_star(parent, cone, INC)
         refined = stellar_subdivide(parent, parent.cone((0, 1)), (1, 1, 0))
-        seeded = {key[1] for key in refined._memo if key[0] == "rel_lattice_star"}
         # (0, 1) lies in both replaced maximal cones (0, 1, 2) and (0, 1, 3);
         # only cones outside them keep their stars.
-        assert seeded == {(2, 3), (0, 2, 3), (1, 2, 3)}
+        assert _star_keys(refined) == {(2, 3), (0, 2, 3), (1, 2, 3)}
+        # Every kernel is keyed by its support, which keeps its rays, so
+        # each is seeded, padded with a zero for the new ray.
+        assert _kernel_keys(refined) == _kernel_keys(parent)
+        for key in _kernel_keys(parent):
+            assert refined._memo[key].basis_rows == tuple(
+                row + (0,) for row in parent._memo[key].basis_rows), key
+        fresh = _fresh_copy(refined)
+        for key in _kernel_keys(refined):
+            assert refined._memo[key] == _star_kernel(fresh, key[1]), key
 
     def test_decomposition_factor_is_not_inherited(self):
         # Seven-ray refinement of p2 whose basis relations need several stars.
@@ -232,8 +252,8 @@ class TestSubdivisionSkeleton:
         for cone in parent.cones[1:]:
             rel_lattice_star(parent, cone, INC)
         refined = stellar_subdivide(parent, parent.cone((0, 1)), (1, 2, 0))
-        seeded = {key[1] for key in refined._memo if key[0] == "rel_lattice_star"}
-        assert seeded == {(2, 3), (0, 2, 3), (1, 2, 3)}
+        assert _star_keys(refined) == {(2, 3), (0, 2, 3), (1, 2, 3)}
+        assert _kernel_keys(parent) and _kernel_keys(refined) == _kernel_keys(parent)
         self._assert_matches_fresh(refined)
 
 
