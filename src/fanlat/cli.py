@@ -16,8 +16,8 @@ from .corpus import catalog, catalog_entry
 from .errors import (FanFileError, FanValidationError, InternalCheckError,
                      NotSimplicialError)
 from .fan import Fan, is_complete, localize
-from .fanio import (REPORT_VERSION, dump_report, enc_basis, enc_depth, enc_int,
-                    enc_vector, fan_to_dict, load_fan, save_fan)
+from .fanio import (REPORT_VERSION, SharedList, dump_report, enc_basis, enc_depth,
+                    enc_int, enc_vector, fan_to_dict, load_fan, save_fan)
 from .filtration import check_generation, depth, filtration, local_decompose
 from .intlin import member_by_enumeration
 from .lattices import SupportPolicy, class_group, ray_lattice, rel_lattice, rel_lattice_localized
@@ -291,13 +291,14 @@ def cmd_conjecture(args) -> tuple[dict, int]:
     traces = conjecture_scan(fan, policy, args.trials, args.seed)
     out_traces = []
     violations = 0
+    # Repeats of a draw share its records tuple; encode it once, as one
+    # SharedList that dump_report writes once.
+    encoded = {}  # id of a trace's records -> their encoding
     for tr in traces:
         violations += tr.violations
-        out_traces.append({
-            "trial": tr.trial_index,
-            "cone": list(tr.subdivided_cone.ray_indices),
-            "new_ray": enc_vector(tr.new_ray),
-            "records": [
+        records = encoded.get(id(tr.records))
+        if records is None:
+            records = encoded[id(tr.records)] = SharedList(
                 {
                     "relation": enc_vector(rec.relation),
                     "depth_before": enc_depth(rec.depth_before),
@@ -306,7 +307,12 @@ def cmd_conjecture(args) -> tuple[dict, int]:
                     "violation": rec.violation,
                 }
                 for rec in tr.records
-            ],
+            )
+        out_traces.append({
+            "trial": tr.trial_index,
+            "cone": list(tr.subdivided_cone.ray_indices),
+            "new_ray": enc_vector(tr.new_ray),
+            "records": records,
         })
     return {
         "version": REPORT_VERSION,
@@ -451,11 +457,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     text = dump_report(report)
-    sys.stdout.write(text)
     json_path = getattr(args, "json_path", None)
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # The mirror first, so that a path that cannot be written leaves
+        # no report on stdout.
+        try:
+            with open(json_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {json_path}: {exc}", file=sys.stderr)
+            return 2
+    sys.stdout.write(text)
     return code
 
 

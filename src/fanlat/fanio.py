@@ -6,15 +6,24 @@ Fan files are plain JSON:
       "cones": [[...], ...]?,
       "metadata": {"name"?: string, "assert_complete"?: bool, "trust"?: bool}? }
 
-Schema problems raise FanFileError (CLI exit 2); geometric validation
-problems surface from build_fan as FanValidationError (exit 1). Reports
-serialize unbounded integers (matrix entries, lattice indices) as
-decimal strings so round-trips are lossless through any JSON parser.
+Schema problems, and files that cannot be read or written, raise
+FanFileError (CLI exit 2); geometric validation problems surface from
+build_fan as FanValidationError (exit 1). Reports serialize unbounded
+integers (matrix entries, lattice indices) as decimal strings so
+round-trips are lossless through any JSON parser.
+
+Every JSON file fanlat writes, reports and fan files alike, goes through
+dump_report. Its text is exactly `json.dumps(obj, indent=2)` plus a
+newline, for the values reports hold: str, int, bool, None, lists,
+tuples and dicts. Anything else, floats included, raises TypeError. A
+SharedList that appears many times in one report is written once per
+indent and its text reused.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional
 
 from .errors import FanFileError
@@ -111,9 +120,12 @@ def fan_to_dict(fan: Fan) -> dict:
 
 
 def save_fan(fan: Fan, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fan_to_dict(fan), fh, indent=2)
-        fh.write("\n")
+    text = dump_report(fan_to_dict(fan))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FanFileError(f"cannot write {path}: {exc}") from exc
 
 
 # Report encoding helpers: unbounded integers go out as decimal strings.
@@ -134,5 +146,93 @@ def enc_depth(d: Optional[int]):
     return "unreachable" if d is None else d
 
 
+class SharedList(list):
+    """A list that dump_report writes once per indent and then reuses."""
+
+
 def dump_report(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """`json.dumps(report, indent=2)` plus a newline, byte for byte.
+
+    Strings go through `json.encoder.encode_basestring_ascii`, ints
+    (bools aside) through `int.__repr__`; True, False and None are
+    `true`, `false` and `null`. Lists and tuples are arrays, and empty
+    containers are written `[]` and `{}`. Dict keys are strings, or
+    int, bool and None keys written as json writes them ("1", "true",
+    "false", "null"). Any other value raises TypeError: a float, a set
+    or any other object. So does any other key, a float key included.
+    A container that holds itself is not detected as such; it ends in
+    RecursionError.
+
+    A SharedList is the shared-object marker: the first time one object
+    is written at a given indent, its text is kept for the rest of this
+    call, and every later occurrence of the same object at the same
+    indent reuses that text. So a SharedList must not change while the
+    report is written. No other container is cached.
+    """
+    chunks = []
+    put = chunks.append
+    shared = {}  # (id of a SharedList, newline + indent) -> its text
+
+    def write(o, nl):
+        # nl is the newline and indent of the line o starts on.
+        if isinstance(o, str):
+            put(_encode_str(o))
+        elif o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        elif isinstance(o, int):
+            put(int.__repr__(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                put("[]")
+                return
+            if type(o) is SharedList:
+                key = (id(o), nl)
+                text = shared.get(key)
+                if text is not None:
+                    put(text)
+                    return
+                start = len(chunks)
+            inner = nl + "  "
+            sep, comma = "[" + inner, "," + inner
+            for item in o:
+                put(sep)
+                write(item, inner)
+                sep = comma
+            put(nl + "]")
+            if type(o) is SharedList:
+                text = shared[key] = "".join(chunks[start:])
+                chunks[start:] = [text]
+        elif isinstance(o, dict):
+            if not o:
+                put("{}")
+                return
+            inner = nl + "  "
+            sep, comma = "{" + inner, "," + inner
+            for k, v in o.items():
+                if isinstance(k, str):
+                    pass
+                elif k is True:
+                    k = "true"
+                elif k is False:
+                    k = "false"
+                elif k is None:
+                    k = "null"
+                elif isinstance(k, int):
+                    k = int.__repr__(k)
+                else:
+                    raise TypeError(f"keys must be str, int, bool or None, "
+                                    f"not {type(k).__name__}")
+                put(sep + _encode_str(k) + ": ")
+                write(v, inner)
+                sep = comma
+            put(nl + "}")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    write(report, "\n")
+    put("\n")
+    return "".join(chunks)

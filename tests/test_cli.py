@@ -266,6 +266,35 @@ class TestSubdivide:
         assert err == "error: zero ray\n"
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [["relations", "{fan}"], ["report", "{fan}"],
+                                      ["catalog", "export", "p2"]])
+    def test_json_mirror(self, capsys, p2_file, tmp_path, argv):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *[a.format(fan=p2_file) for a in argv],
+                             "--json", str(target))
+        assert code == 2
+        assert out == ""  # no report when its mirror cannot be written
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+
+    def test_subdivide_out(self, capsys, p2_file, tmp_path):
+        target = tmp_path / "missing" / "y.json"
+        code, out, err = run(capsys, "subdivide", p2_file, "--cone", "0,1", "--ray", "1,1",
+                             "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+
+    def test_json_mirror_matches_stdout(self, capsys, p2_file, tmp_path):
+        target = tmp_path / "mirror.json"
+        code, out, _ = run(capsys, "conjecture", p2_file, "--trials", "40", "--seed", "2",
+                           "--json", str(target))
+        assert code == 0
+        assert target.read_text() == out
+
+
 class TestConjecture:
     def test_deterministic_bytes(self, capsys, p2xp1_file):
         args = ("conjecture", p2xp1_file, "--policy", "exclusive",

@@ -3,6 +3,11 @@
 Each entry pins the exit code and the sha256 of stdout of one command on
 one exported catalog fan. A change that alters any byte of these reports
 changes the contract and must update the digest on purpose.
+
+GOLDEN covers `report` and `filtration` under both policies. RUNS covers
+the scans under each policy and the other fan commands; its files are
+passed by relative name from the working directory, so the `path` field
+of a `validate` report does not depend on where the test runs.
 """
 
 import hashlib
@@ -45,3 +50,85 @@ def test_policy_both_stdout_matches_digest(capsys, tmp_path, name, command):
     code = main([command, str(path), "--policy", "both"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == GOLDEN[name, command]
+
+
+# (command, catalog fan, extra arguments...) -> (exit code, sha256 of stdout).
+# The p2 scan with 240 trials repeats most of its draws.
+RUNS = {
+    ("conjecture", "p2", "--policy", "inclusive", "--trials", "240", "--seed", "2"):
+        (0, "b00624d8816768cbc44edd01d07d1b4890817ef19002b79928f1ada3c7bd85eb"),
+    ("conjecture", "p2", "--policy", "exclusive", "--trials", "240", "--seed", "2"):
+        (0, "0e221dfd9c3db44a0d6b19a79d555c53e04c18e6f53474e8ed9628d873f4e77c"),
+    ("conjecture", "p2xp1", "--policy", "inclusive", "--trials", "30", "--seed", "2"):
+        (0, "4c78230f5e8b9f131e4f4f1fdd9adbba04b6620f1ce3f21aca148ef5bc7b595d"),
+    ("conjecture", "p2xp1", "--policy", "exclusive", "--trials", "30", "--seed", "2"):
+        (0, "fcd969864d0e6d001afe639771612c740d0e7b23b41561b65c48fb93a833f538"),
+    ("subdivide", "p2", "--cone", "0,1", "--ray", "1,1", "--policy", "both"):
+        (0, "a3bc920dc0faceaa8e5c23687e4e2926fbef20d82831f3c50ded3e1516d22f7a"),
+    ("depth", "p2", "--relation", "1,1,1", "--policy", "both", "--max-coeff", "2"):
+        (0, "e89e59ffd6a1d5325040ae194abba76845b36c7d227c8acde8d0239f3edf590d"),
+    ("depth", "p2xp1", "--relation", "0,0,0,1,1", "--policy", "both"):
+        (0, "af48d3e65f8b66f6fa4956d64966b11fe37ae7df6ba23216e445f78e28e9b828"),
+    ("localize", "p2xp1", "--cone", "3"):
+        (0, "d27ed019669d5e73e129028956404f4efb4cd2c46f113ef5c4c2736866fc3fc8"),
+    ("localize", "p3", "--cone", "0,1"):
+        (0, "22e238f6650fae1793fa701c9f46553c7062f70383983b377df7095c3f86dc7d"),
+    ("decompose", "p2"):
+        (0, "4cd00edd5ec5072966d2029bbf437752f3479d749c86c8ff7a9efe043a2db66b"),
+    ("decompose", "p1xp1"):
+        (0, "d65ba9106278450852f9dcd4f3fbdf9c56568378647cc5e2dda3e0e38c3d0b24"),
+    ("decompose", "p3"):
+        (0, "73db22a45e80c915c4aa5165b0fe52af3f9ab2adb4a32d441a8716c35c613a7f"),
+    ("decompose", "p2xp1"):
+        (0, "5de9d41d3dae2f2b362af6268c1070190478f0c4fe7d19ab19248aec7ad58068"),
+    ("decompose", "blowup_p2"):
+        (0, "a7f3102ec275aaf7ce5d01b6adf376ae7e103e065ef73a4c21ebcfb99f76ce51"),
+    ("decompose", "halfplane2"):
+        (0, "259757611c34cf19e263afecc155ee6410dc36ac3fec7a5287ed8c7204fbd8b9"),
+    ("decompose", "sigma_c"):
+        (0, "3894329b15767c46375749d0bc48c711a96ea5d473c26c87f0c89d68b579dc7a"),
+    ("classgroup", "p2"):
+        (0, "417917c4781e107ead7df608fadeb3b4394c31a88c9f46a7a6fffdc555fae84c"),
+    ("classgroup", "p1xp1"):
+        (0, "87b37d1187b8c0e93e0031eafde74601fb6c1bc352ffe22d272c8ffd0216ab70"),
+    ("classgroup", "p3"):
+        (0, "98fcaa00c706856a6ff887ed61d9098d290a16b894118120c3197b6cf98a580a"),
+    ("classgroup", "p2xp1"):
+        (0, "669392ac6a1f70ea94391e58ccb354972ee8df9b80587258da5350568d218620"),
+    ("classgroup", "blowup_p2"):
+        (0, "a65a3d2954a447f00d48002bbe3b27ff7d7ee515cc51b35f96dc00a5c0705924"),
+    ("classgroup", "halfplane2"):
+        (0, "c5a7b1e94a7e7f98eaf851b53aa50f958722b82cdddf2923a3a3c61e155477b0"),
+    ("classgroup", "sigma_c"):
+        (0, "336acefe036ed5a7b8245422cef288ccdc0ec00dd39d9f9a9af956e3fe633007"),
+    ("validate", "p2"):
+        (0, "1a2d1bd28c3e81992056dd879e273b834d6a3b5871d69a4f31f81dd9b0a5b67c"),
+    ("validate", "p1xp1"):
+        (0, "0ce55888f43362ef031a68f66325ed53e548c90d3667685d33e6c21a550ae1a2"),
+    ("validate", "p3"):
+        (0, "b28dbd6c64dd84c40262af1513f6ec0b74a940ecbf7ed137f3419e3280c433b7"),
+    ("validate", "p2xp1"):
+        (0, "4743922c3c2cc57b249ae6bb09faeba98d43918d4f1af258239ed392ed6ec946"),
+    ("validate", "blowup_p2"):
+        (0, "c2ce0786eb8af83158dbbee509514ae842d9907df9b32d5f30aaf919e76583c4"),
+    ("validate", "halfplane2"):
+        (0, "934c0482f30964b7ae6a24f42fc2e54ff33cdd04193b3530449821b4e7a22183"),
+    ("validate", "sigma_c"):
+        (0, "0fd48fcfe6407c45a09f7b039ea5d84cd9f78b517aab0620c0e0306bb131bf76"),
+}
+
+
+def test_runs_cover_every_catalog_fan():
+    for command in ("decompose", "classgroup", "validate"):
+        assert {run[1] for run in RUNS if run[0] == command} == {e.name for e in catalog()}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_command_stdout_matches_digest(capsys, tmp_path, monkeypatch, run):
+    command, name, *extra = run
+    assert main(["catalog", "export", name]) == 0
+    (tmp_path / f"{name}.json").write_text(capsys.readouterr().out)
+    monkeypatch.chdir(tmp_path)
+    code = main([command, f"{name}.json", *extra])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == RUNS[run]
