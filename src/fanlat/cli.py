@@ -17,8 +17,8 @@ from .errors import (FanFileError, FanValidationError, InternalCheckError,
                      NotSimplicialError)
 from .fan import Fan, is_complete, localize
 from .fanio import (REPORT_VERSION, SharedList, dump_report, enc_basis, enc_depth,
-                    enc_int, enc_vector, fan_to_dict, load_fan, save_fan)
-from .filtration import check_generation, depth, filtration, local_decompose
+                    enc_int, enc_vector, fan_to_dict, load_fan)
+from .filtration import FiltrationProfile, check_generation, depth, filtration, local_decompose
 from .intlin import member_by_enumeration
 from .lattices import SupportPolicy, class_group, ray_lattice, rel_lattice, rel_lattice_localized
 from .refine import conjecture_scan, refinement_injection, stellar_subdivide
@@ -64,31 +64,32 @@ def _completeness(fan: Fan):
         return "unknown"
 
 
+def _depth_entry(profile: FiltrationProfile, r, d: Optional[int],
+                 max_coeff: Optional[int]) -> dict:
+    """The report entry of relation r at depth d, checked by the brute-force oracle if asked.
+
+    The oracle reads levels d and d - 1, so it builds no level above d.
+    """
+    entry = {"relation": enc_vector(r), "depth": enc_depth(d)}
+    if max_coeff is not None and d is not None:
+        found = member_by_enumeration(r, profile.level(d).basis_rows, max_coeff)
+        if d and member_by_enumeration(r, profile.level(d - 1).basis_rows, max_coeff):
+            raise InternalCheckError(
+                "brute-force oracle found a membership below the reported depth")
+        entry["oracle_confirmed"] = bool(found)
+    return entry
+
+
 def _filtration_block(fan: Fan, policy: SupportPolicy, basis, max_coeff: Optional[int]) -> dict:
     profile = filtration(fan, policy)
     gen = check_generation(fan, policy)
-    depths = []
-    for r in basis:
-        d = profile.depth_of(r)
-        entry = {"relation": enc_vector(r), "depth": enc_depth(d)}
-        if max_coeff is not None and d is not None:
-            found = member_by_enumeration(r, profile.levels[d].basis_rows, max_coeff)
-            agrees_below = True
-            if d > 0:
-                below = member_by_enumeration(r, profile.levels[d - 1].basis_rows, max_coeff)
-                if below:
-                    raise InternalCheckError(
-                        "brute-force oracle found a membership below the reported depth")
-                agrees_below = not below
-            entry["oracle_confirmed"] = bool(found and agrees_below)
-        depths.append(entry)
     return {
         "policy": policy.value,
         "level_ranks": list(profile.level_ranks),
         "generated_at_penultimate": gen.generated_at_penultimate,
         "generated_at_top": gen.generated_at_top,
         "violates_local_generation": gen.violates_local_generation,
-        "depths": depths,
+        "depths": [_depth_entry(profile, r, profile.depth_of(r), max_coeff) for r in basis],
     }
 
 
@@ -140,16 +141,13 @@ def cmd_report(args) -> tuple[dict, int]:
     }
     if len(policies) == 2:
         discrepancies = []
-        inc_profile = filtration(fan, SupportPolicy.INCLUSIVE)
-        exc_profile = filtration(fan, SupportPolicy.EXCLUSIVE)
-        for r in basis:
-            d_inc = inc_profile.depth_of(r)
-            d_exc = exc_profile.depth_of(r)
-            if d_inc != d_exc:
+        blocks = report["filtration"]
+        for inc, exc in zip(blocks["inclusive"]["depths"], blocks["exclusive"]["depths"]):
+            if inc["depth"] != exc["depth"]:
                 discrepancies.append({
-                    "relation": enc_vector(r),
-                    "inclusive_depth": enc_depth(d_inc),
-                    "exclusive_depth": enc_depth(d_exc),
+                    "relation": inc["relation"],
+                    "inclusive_depth": inc["depth"],
+                    "exclusive_depth": exc["depth"],
                     "note": ("support policies disagree: inclusive counts every star ray, "
                              "exclusive drops the cone's own rays"),
                 })
@@ -194,12 +192,13 @@ def cmd_filtration(args) -> tuple[dict, int]:
 
 def cmd_depth(args) -> tuple[dict, int]:
     fan = load_fan(args.path, trust=args.trust)
-    depth(fan, args.relation, SupportPolicy.INCLUSIVE)  # raises on zero / non-relations
     out = {"version": REPORT_VERSION, "command": "depth", "fan": _fan_summary(fan),
            "relation": enc_vector(args.relation), "results": {}}
     for policy in _policies(args.policy):
-        block = _filtration_block(fan, policy, [args.relation], args.max_coeff)
-        out["results"][policy.value] = block["depths"][0]
+        # depth() raises on the zero vector and on non-relations.
+        d = depth(fan, args.relation, policy)
+        out["results"][policy.value] = _depth_entry(
+            filtration(fan, policy), args.relation, d, args.max_coeff)
     return out, 0
 
 
@@ -258,7 +257,7 @@ def cmd_subdivide(args) -> tuple[dict, int]:
     basis = rel_lattice(fan).basis_rows
     policies = _policies(args.policy)
     # Depths before the subdivision first, so the refined fan starts from
-    # the stars and star kernels they built.
+    # the star kernels they built.
     before = {p: [filtration(fan, p).depth_of(r) for r in basis] for p in policies}
     refined = stellar_subdivide(fan, sigma, args.ray)
     records = []
@@ -272,8 +271,6 @@ def cmd_subdivide(args) -> tuple[dict, int]:
                 "depth_before": enc_depth(d),
                 "depth_after": enc_depth(after.depth_of(padded)),
             })
-    if args.out:
-        save_fan(refined, args.out)
     return {
         "version": REPORT_VERSION,
         "command": "subdivide",
@@ -457,16 +454,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     text = dump_report(report)
-    json_path = getattr(args, "json_path", None)
-    if json_path:
-        # The mirror first, so that a path that cannot be written leaves
-        # no report on stdout.
-        try:
-            with open(json_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {json_path}: {exc}", file=sys.stderr)
-            return 2
+    # The mirror first, so that a path that cannot be written leaves no
+    # report on stdout; then the refined fan of subdivide --out, so that
+    # a failed mirror leaves no fan file either.
+    files = [(getattr(args, "json_path", None), text)]
+    if getattr(args, "out", None):
+        files.append((args.out, dump_report(report["after_fan"])))
+    for path, content in files:
+        if path:
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(content)
+            except OSError as exc:
+                print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+                return 2
     sys.stdout.write(text)
     return code
 

@@ -77,27 +77,21 @@ class Fan:
     subdivision and unimodular images build new fans), so every
     invariant derived from them is computed once and kept in the fan's
     private cache: the sorted and maximal cones, the ray matrix, the
-    incidence map (the cones holding each ray, in cones order, from
-    which stars are read), the determinant of the sorted rays of each
-    full-dimensional maximal cone (read by is_complete), completeness,
-    the relation lattice, stars, star kernels (keyed by their sorted
-    support, so cones and policies with one support share one kernel),
-    filtration levels, the star sets of every codim-k cone of a
-    simplicial fan (read from one pass over the maximal cones when a
-    level is built), the star supports of each codimension per support
-    policy as ray bitmasks (built star by star as
-    FiltrationProfile.depth_of needs them to certify a depth), the
-    factored ray-star system that local_decompose solves against, and,
-    for each cone that stellar_subdivide refined, the part of that
-    subdivision that does not depend on the new ray (the replaced
-    maximal cones, the refined face map, the untouched stars and the
-    padded star kernels). A new fan starts with an empty cache, except
-    that build_fan stores the determinants of its simplicial check, and
-    a stellar subdivision is seeded with its parent's stars that it
-    leaves unchanged and with every star kernel of its parent, padded
-    with a zero for the new ray, though never with the incidence map,
-    the determinants, the star-set tables or a subdivision of its own
-    parent.
+    determinant of the sorted rays of each full-dimensional maximal
+    cone (read by is_complete), completeness, the relation lattice, the
+    star sets of each codimension (star_sets, the one source of star
+    rays), star kernels (keyed by their sorted support, so cones and
+    policies with one support share one kernel), filtration levels, the
+    distinct star supports of each codimension per support policy as
+    ray bitmasks (read by FiltrationProfile.depth_of to certify a
+    depth), the factored ray-star system that local_decompose solves
+    against, and, for each cone that stellar_subdivide refined, the part
+    of that subdivision that does not depend on the new ray (the refined
+    face map and the padded star kernels). A new fan starts with an
+    empty cache, except that build_fan stores the determinants of its
+    simplicial check, and a stellar subdivision is seeded with every
+    star kernel of its parent, padded with a zero for the new ray, and
+    with nothing else.
     """
 
     __slots__ = ("rank", "rays", "simplicial", "name", "asserted_complete",
@@ -152,19 +146,6 @@ class Fan:
                     found[i].append(ray_set)
                 maximal.add(key)
         return tuple(c for c in self.cones if c.ray_indices in maximal)
-
-    def _holders(self, key: tuple[int, ...]) -> tuple[ConeRef, ...]:
-        """The cones holding the first ray of key, in cones order; all cones if key is empty."""
-        if not key:
-            return self.cones
-        return self._cached("incidence", self._incidence)[key[0]]
-
-    def _incidence(self) -> tuple[tuple[ConeRef, ...], ...]:
-        holders = [[] for _ in self.rays]
-        for c in self.cones:
-            for i in c.ray_indices:
-                holders[i].append(c)
-        return tuple(map(tuple, holders))
 
     @property
     def zero_cone(self) -> ConeRef:
@@ -323,13 +304,44 @@ def star(fan: Fan, tau: ConeRef) -> tuple[tuple[ConeRef, ...], tuple[int, ...]]:
     key = tuple(sorted(tau.ray_indices))
     if not fan.has_cone(key):
         raise FanValidationError(f"cone {tau.ray_indices} is not in the fan")
-    return fan._cached(("star", key), lambda: _star(fan, key))
+    return _star(fan, key)
 
 
 def _star(fan: Fan, key: tuple[int, ...]) -> tuple[tuple[ConeRef, ...], tuple[int, ...]]:
     t = set(key)
-    members = tuple(c for c in fan._holders(key) if t <= set(c.ray_indices))
+    members = tuple(c for c in fan.cones if t.issubset(c.ray_indices))
     return members, tuple(sorted({i for c in members for i in c.ray_indices}))
+
+
+def star_sets(fan: Fan, k: int) -> dict:
+    """The sorted star rays of every nonzero codim-k cone, keyed by its ray indices.
+
+    The keys come in cones order (the codim-k cones share one
+    dimension, so that is sorted order). Every cone containing a face
+    lies in a maximal cone containing it, so on a simplicial fan the
+    star set of a face is the union of the maximal cones holding it, and
+    one pass over the maximal cones adds each one's rays to each of its
+    faces with rank - k rays. Any other fan reads each cone's star. The
+    table is cached on the fan per k.
+    """
+    return fan._cached(("star_sets", k), lambda: _star_sets(fan, k))
+
+
+def _star_sets(fan: Fan, k: int) -> dict:
+    if not fan.simplicial:
+        return {c.ray_indices: _star(fan, c.ray_indices)[1] for c in fan.cones
+                if c.ray_indices and c.codim == k}
+    dim = fan.rank - k
+    sets = {}
+    if dim > 0:
+        for mc in fan.maximal_cones:
+            for face in combinations(mc.ray_indices, dim):
+                rays = sets.get(face)
+                if rays is None:
+                    sets[face] = set(mc.ray_indices)
+                else:
+                    rays.update(mc.ray_indices)
+    return {face: tuple(sorted(sets[face])) for face in sorted(sets)}
 
 
 def is_complete(fan: Fan) -> bool:

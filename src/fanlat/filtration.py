@@ -7,20 +7,19 @@ which happens on non-complete fans, under the exclusive policy, and on
 some complete fans whose relations are not all locally generated).
 
 Levels are built on demand, each from the one below, and cached on the
-fan, so a depth query builds only the levels up to the answer. Level k
-of a simplicial fan reads the star sets of all its codim-k cones from
-one pass over the maximal cones, and asks each star kernel of the fan
-by its support, so cones and policies with one support share one
-kernel; a depth query's certificate still builds single stars. Three
-exact shortcuts skip work: on a simplicial fan a codim-0 cone's star
-kernel is zero (the cone is its own star and its rays are independent);
-a level that gains no generator is the level below it, which makes
-level n always level n-1; and a depth query answers k without building
-level k when the relation lies in no level below k and its support fits
-the star set of a codim-k cone (the star's rays under the inclusive
-policy, those outside the cone under the exclusive one). The star
-kernel of that cone is every relation supported on its star set, and
-it lies inside level k, so the support certificate is exact.
+fan, so a depth query builds only the levels up to the answer. Every
+star set comes from the fan's star-set table of its codimension
+(fan.star_sets), and each star kernel is asked by its support, so cones
+and policies with one support share one kernel. Three exact shortcuts
+skip work: on a simplicial fan a codim-0 cone's star kernel is zero
+(the cone is its own star and its rays are independent); a level that
+gains no generator is the level below it, which makes level n always
+level n-1; and a depth query answers k without building level k when
+the relation lies in no level below k and its support fits the star
+set of a codim-k cone (the star's rays under the inclusive policy,
+those outside the cone under the exclusive one). The star kernel of
+that cone is every relation supported on its star set, and it lies
+inside level k, so the support certificate is exact.
 
 local_decompose writes a global relation as a sum of pieces, one per
 ray, each a relation supported inside that ray's star. Inclusive level
@@ -34,12 +33,11 @@ further relation costs one back-substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import (InternalCheckError, NotARelationError, NotCompleteError,
                      NotLocallyGeneratedError, NotSimplicialError)
-from .fan import ConeRef, Fan, is_complete, star
+from .fan import ConeRef, Fan, is_complete, star_sets
 from .intlin import (ColumnFactor, IntMatrix, Sublattice, factor_columns, lattice_equal,
                      lattice_sum, member, solve_factored)
 from .lattices import (RelLattice, SupportPolicy, _policy_support, _star_kernel, rel_lattice,
@@ -53,14 +51,14 @@ class FiltrationProfile:
     contributing[k] lists (cone, star-kernel rank) for the cones of
     codimension exactly k whose star kernel is nonzero. Each level is
     built on first use from the level below it and cached on the fan:
-    levels, contributing and level_ranks build every level, while
-    depth_of stops at the first level that contains the relation. Before
-    it builds a level k >= 1 that is not cached yet, depth_of tests the
-    relation's support against the star sets of the codim-k cones (int
-    bitmasks, cached on the fan per policy and k, each star built only
-    when every mask before it failed to fit); a fit answers k for a
-    relation and None for a vector that is not one, and level k is not
-    built. Levels that are cached already are read by membership alone.
+    levels, contributing and level_ranks build every level, level(k)
+    the levels up to k, while depth_of stops at the first level that
+    contains the relation. Before it builds a level k >= 1 that is not
+    cached yet, depth_of tests the relation's support against the
+    distinct star supports of the codim-k cones (int bitmasks, cached on
+    the fan per policy and k); a fit answers k for a relation and None
+    for a vector that is not one, and level k is not built. Levels that
+    are cached already are read by membership alone.
     """
 
     fan: Fan
@@ -68,7 +66,10 @@ class FiltrationProfile:
 
     @property
     def levels(self) -> tuple[Sublattice, ...]:
-        return tuple(_level(self.fan, self.policy, k)[0] for k in range(self.fan.rank + 1))
+        return tuple(self.level(k) for k in range(self.fan.rank + 1))
+
+    def level(self, k: int) -> Sublattice:
+        return _level(self.fan, self.policy, k)[0]
 
     @property
     def contributing(self) -> tuple[tuple[tuple[ConeRef, int], ...], ...]:
@@ -86,13 +87,11 @@ class FiltrationProfile:
             if k and ("level", policy, k) not in fan._memo:
                 if support is None:
                     support = sum(1 << i for i, x in enumerate(relation) if x)
-                masks = fan._cached(("star_masks", policy, k),
-                                    lambda: _StarMasks(fan, policy, k))
-                if masks.fits(fan, support):
+                if any(not (support & ~mask) for mask in _star_masks(fan, policy, k)):
                     # Every level lies in the relation lattice, so a vector
                     # that is not a relation is in none of them.
                     return None if any(fan.ray_matrix().mul_vector(relation)) else k
-            if member(relation, _level(fan, policy, k)[0]):
+            if member(relation, self.level(k)):
                 return k
         return None
 
@@ -157,62 +156,16 @@ def _build_level(fan: Fan, policy: SupportPolicy, k: int) -> tuple[Sublattice, t
 
 
 def _codim_supports(fan: Fan, policy: SupportPolicy, k: int) -> list:
-    """(cone, star support) for every nonzero codim-k cone, in cones order.
-
-    A simplicial fan reads the star sets from its table for codim k;
-    any other fan builds each star.
-    """
-    cones = [c for c in fan.cones if c.ray_indices and c.codim == k]
-    if not cones or not fan.simplicial:
-        return [(c, star_support(fan, c, policy)) for c in cones]
-    star_sets = fan._cached(("star_sets", k), lambda: _star_sets(fan, fan.rank - k))
-    return [(c, _policy_support(star_sets[c.ray_indices], c.ray_indices, policy)) for c in cones]
+    """(cone, star support) for every nonzero codim-k cone, in cones order."""
+    return [(fan.cone(key), _policy_support(rays, key, policy))
+            for key, rays in star_sets(fan, k).items()]
 
 
-def _star_sets(fan: Fan, dim: int) -> dict:
-    """The sorted star rays of every dim-dimensional cone of a simplicial fan.
-
-    Every cone containing a face lies in a maximal cone containing it,
-    so the star set of a face is the union of the maximal cones holding
-    it: one pass over the maximal cones adds each one's rays to each of
-    its dim-subsets.
-    """
-    sets = {}
-    for mc in fan.maximal_cones:
-        for face in combinations(mc.ray_indices, dim):
-            rays = sets.get(face)
-            if rays is None:
-                sets[face] = set(mc.ray_indices)
-            else:
-                rays.update(mc.ray_indices)
-    return {face: tuple(sorted(rays)) for face, rays in sets.items()}
-
-
-class _StarMasks:
-    """The distinct star supports of a fan's nonzero codim-k cones as ray bitmasks.
-
-    Stars are built in cones order, each only once a query has failed
-    to fit every mask built before it.
-    """
-
-    __slots__ = ("masks", "_policy", "_todo")
-
-    def __init__(self, fan: Fan, policy: SupportPolicy, k: int):
-        self.masks = {}
-        self._policy = policy
-        self._todo = [c for c in reversed(fan.cones) if c.ray_indices and c.codim == k]
-
-    def fits(self, fan: Fan, support: int) -> bool:
-        """Whether the ray bitmask support lies inside some codim-k star support."""
-        if any(not (support & ~mask) for mask in self.masks):
-            return True
-        while self._todo:
-            mask = sum(1 << i for i in star_support(fan, self._todo.pop(), self._policy))
-            if mask not in self.masks:
-                self.masks[mask] = None
-                if not support & ~mask:
-                    return True
-        return False
+def _star_masks(fan: Fan, policy: SupportPolicy, k: int) -> tuple[int, ...]:
+    """The distinct star supports of the nonzero codim-k cones as ray bitmasks, cached."""
+    return fan._cached(("star_masks", policy, k), lambda: tuple(dict.fromkeys(
+        sum(1 << i for i in _policy_support(rays, key, policy))
+        for key, rays in star_sets(fan, k).items())))
 
 
 def _require_relation(fan: Fan, r: Sequence[int], rel: RelLattice) -> tuple[int, ...]:
@@ -279,7 +232,8 @@ def local_decompose(fan: Fan, r: Sequence[int]) -> Decomposition:
         return Decomposition(relation=r, pieces={})
 
     m = len(fan.rays)
-    stars = [frozenset(star(fan, fan.cone((i,)))[1]) for i in range(m)]
+    stars = [frozenset(star_support(fan, fan.cone((i,)), SupportPolicy.INCLUSIVE))
+             for i in range(m)]
     support = [i for i in range(m) if r[i]]
 
     # A relation inside a single star is already a valid one-piece answer.

@@ -7,13 +7,17 @@ the defining cone participate (inclusive) or not (exclusive). Local
 lattices are re-embedded into the global ray coordinates by extension
 with zeros, so they can be compared and summed there.
 
-A star kernel depends on its support alone, the sorted rays it may
-touch, and not on the cone or the policy that named it. So it is cached
-on the fan under ("kernel", support): cones with equal star sets share
-one kernel, and so do the two policies where their supports coincide.
-A support of at most rank + 1 rays whose kernel has rank 0 or 1 gets
-that kernel from one fraction-free elimination of its rays; every other
-support takes the Hermite elimination of integer_kernel.
+A cone's support under a policy is read from the fan's star-set table
+of the cone's codimension (fan.star_sets). A star kernel depends on its
+support alone, the sorted rays it may touch, and not on the cone or the
+policy that named it. So it is cached on the fan under ("kernel",
+support): cones with equal star sets share one kernel, and so do the two
+policies where their supports coincide. A support of at most rank + 1
+rays whose kernel has rank 0 or 1 gets that kernel from one
+fraction-free elimination of its rays; every other support takes the
+Hermite elimination of integer_kernel. Because a kernel is keyed by its
+support, a stellar subdivision starts from every kernel its parent
+cached, padded with a zero for the new ray (_padded_kernels).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import FanValidationError
-from .fan import ConeRef, Fan, localize, star
+from .fan import ConeRef, Fan, localize, star_sets
 from .intlin import IntMatrix, Sublattice, integer_kernel, snf, sublattice_index
 
 
@@ -177,29 +181,17 @@ def _pad_rel_lattice(rel: RelLattice) -> RelLattice:
         m, [row + (0,) for row in rel.basis_rows]))
 
 
-def _seed_untouched_stars(entries, replaced: Sequence[set]) -> dict:
-    """The entries of a parent's cache that a stellar subdivision keeps.
+def _padded_kernels(entries) -> dict:
+    """Every star kernel among a parent's cache entries, padded for a stellar subdivision.
 
-    entries are (key, value) items of the parent's cache, and replaced
-    holds the ray sets of the parent's maximal cones that the
-    subdivision replaces. A cone tau in none of them has only unchanged
-    maximal cones around it, and no new cone contains it, so its star
-    is the parent's. Every star kernel stays valid: it depends only on
-    its support, whose rays keep their indices, so in the refined fan it
-    is the parent's padded with a zero for the new ray, which is last.
-    The result holds the untouched stars and every padded kernel under
-    their keys; it does not depend on the new ray, so one result serves
-    every subdivision of the same cone.
+    entries are (key, value) items of the parent's cache. A star kernel
+    depends only on its support, whose rays keep their indices in the
+    refinement, so there it is the parent's padded with a zero for the
+    new ray, which is last. The result is keyed as the parent's entries
+    and does not depend on the new ray or on the subdivided cone.
     """
-    seeds = {}
-    for key, value in entries:
-        if not isinstance(key, tuple):
-            continue
-        if key[0] == "kernel":
-            seeds[key] = _pad_rel_lattice(value)
-        elif key[0] == "star" and not any(set(key[1]) <= mset for mset in replaced):
-            seeds[key] = value
-    return seeds
+    return {key: _pad_rel_lattice(value) for key, value in entries
+            if isinstance(key, tuple) and key[0] == "kernel"}
 
 
 def rel_lattice_star(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> RelLattice:
@@ -208,8 +200,6 @@ def rel_lattice_star(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> RelLattic
     The star kernel of star_support(fan, tau, policy), shared through
     the fan's cache by every cone and policy with that support.
     """
-    if not tau.ray_indices:
-        raise FanValidationError("the zero cone has no star-supported relation lattice")
     return _star_kernel(fan, star_support(fan, tau, policy))
 
 
@@ -217,9 +207,14 @@ def star_support(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> tuple[int, ..
     """The sorted rays a relation supported on the star of tau may touch.
 
     Those are the star's rays under the inclusive policy and the star's
-    rays outside tau under the exclusive one.
+    rays outside tau under the exclusive one, read from the fan's star
+    sets of tau's codimension. The zero cone, which the filtration never
+    reads, has none.
     """
-    return _policy_support(star(fan, tau)[1], tau.ray_indices, policy)
+    if not tau.ray_indices:
+        raise FanValidationError("the zero cone has no star-supported relation lattice")
+    tau = fan.cone(tau.ray_indices)
+    return _policy_support(star_sets(fan, tau.codim)[tau.ray_indices], tau.ray_indices, policy)
 
 
 def _policy_support(star_rays: tuple[int, ...], cone_rays: tuple[int, ...],

@@ -19,7 +19,7 @@ from .errors import FanValidationError, NotARelationError, NotCompleteError, Not
 from .fan import ConeRef, Fan, is_complete, primitive, simplicial_faces
 from .filtration import filtration
 from .intlin import IntMatrix, member
-from .lattices import SupportPolicy, _seed_untouched_stars, rel_lattice
+from .lattices import SupportPolicy, _padded_kernels, rel_lattice
 from .qsolve import solve_unique
 
 log = logging.getLogger(__name__)
@@ -68,17 +68,16 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
     built straight from its simplicial faces (the new ray is primitive,
     and each new cone stays simplicial because w has a nonzero
     coefficient on the ray it replaces) and carries over the input's
-    validation level and warnings. Its cache starts with the input's
-    cached stars of every cone in no maximal cone containing sigma, and
-    with every star kernel the input cached: a kernel is keyed by its
-    support, whose rays keep their indices, so it stays valid padded
-    with a zero for w, which is the last ray.
+    validation level and warnings. Its cache starts with every star
+    kernel the input cached: a kernel is keyed by its support, whose
+    rays keep their indices, so it stays valid padded with a zero for
+    w, which is the last ray. Stars and star sets it builds afresh.
 
-    Which cones the subdivision replaces and creates, and which cached
-    stars it keeps, depend on sigma and not on w. That part is worked
-    out once per sigma and cached on the input fan under
-    ("subdivision", sigma's ray indices); every refined fan gets its own
-    copy of it, and nothing a refined fan computes is written back.
+    The refined face map depends on sigma and not on w. It is worked out
+    once per sigma and cached on the input fan under ("subdivision",
+    sigma's ray indices), with the padded kernels; every refined fan
+    gets its own copy of the padded kernels, and nothing a refined fan
+    computes is written back.
     """
     if not fan.simplicial:
         raise NotSimplicialError("stellar subdivision requires a simplicial fan")
@@ -110,25 +109,23 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
 class _SubdivisionSkeleton:
     """The part of a stellar subdivision at sigma that does not depend on the new ray.
 
-    replaced holds the ray sets of the maximal cones containing sigma,
-    and faces the face map of the refined fan, whose new ray is index
-    len(fan.rays). seeds(fan) returns the fan's untouched stars and all
-    its star kernels, padded; it pads each cache entry of the fan once and
-    takes in entries cached after the skeleton was made the next time
-    it is asked. Every seed is exact and the seeds only grow, so two
-    threads asking at once can at worst pad an entry twice.
+    faces is the face map of the refined fan, whose new ray is index
+    len(fan.rays). seeds(fan) returns every star kernel of the fan,
+    padded; it pads each cache entry of the fan once and takes in
+    entries cached after the skeleton was made the next time it is
+    asked. Every seed is exact and the seeds only grow, so two threads
+    asking at once can at worst pad an entry twice.
     """
 
-    __slots__ = ("replaced", "faces", "_seeds", "_scanned")
+    __slots__ = ("faces", "_seeds", "_scanned")
 
     def __init__(self, fan: Fan, sigma: ConeRef):
         new_index = len(fan.rays)
         sig = set(sigma.ray_indices)
-        self.replaced, maximal = [], []
+        maximal = []
         for mc in fan.maximal_cones:
             mset = set(mc.ray_indices)
             if sig <= mset:
-                self.replaced.append(mset)
                 for rho in sorted(sig):
                     maximal.append(tuple(sorted((mset - {rho}) | {new_index})))
             else:
@@ -137,10 +134,10 @@ class _SubdivisionSkeleton:
         self._seeds, self._scanned = {}, 0
 
     def seeds(self, fan: Fan) -> dict:
-        """The untouched stars and every padded star kernel of fan, the skeleton's parent."""
+        """Every padded star kernel of fan, the skeleton's parent."""
         if len(fan._memo) > self._scanned:
             entries = list(fan._memo.items())
-            self._seeds.update(_seed_untouched_stars(entries[self._scanned:], self.replaced))
+            self._seeds.update(_padded_kernels(entries[self._scanned:]))
             self._scanned = len(entries)
         return self._seeds
 

@@ -7,8 +7,9 @@ import pytest
 from fanlat.cli import main
 from fanlat.corpus import catalog_entry
 from fanlat.fan import star
-from fanlat.fanio import fan_to_dict, load_fan
+from fanlat.fanio import fan_to_dict, load_fan, save_fan
 from fanlat.lattices import rel_lattice
+from fanlat.refine import stellar_subdivide
 
 
 @pytest.fixture
@@ -45,6 +46,20 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out) if out else None, err
+
+
+def _spy(monkeypatch, module, name):
+    """Replace module.name by a wrapper that logs (first arg, other args); return the log."""
+    module = importlib.import_module(module)
+    real = getattr(module, name)
+    calls = []
+
+    def recorder(fan, *args):
+        calls.append((fan, args))
+        return real(fan, *args)
+
+    monkeypatch.setattr(module, name, recorder)
+    return calls
 
 
 class TestValidate:
@@ -151,6 +166,51 @@ class TestDepthCommand:
         code, _, err = run(capsys, "depth", p2_file, "--relation", "1,0,0")
         assert code == 1
         assert "not a relation" in err
+
+    @pytest.mark.parametrize("name, relation, inclusive, exclusive, built", [
+        # Inclusive depth 1 is certified by a codim-1 star support; an
+        # unreachable exclusive depth needs every level.
+        ("p3", "1,1,1,1", 1, "unreachable", {"inclusive": {0}, "exclusive": {0, 1, 2, 3}}),
+        # The exclusive level 1 rejects the relation; depth 2 is certified.
+        ("p2xp1", "1,1,1,0,0", 1, 2, {"inclusive": {0}, "exclusive": {0, 1}}),
+        ("p2xp1", "0,0,0,1,1", 1, 1, {"inclusive": {0}, "exclusive": {0}}),
+        ("sigma_c", "1,0,1,0,2", 1, 2, {"inclusive": {0}, "exclusive": {0, 1}}),
+    ])
+    def test_levels_built(self, capsys, tmp_path, monkeypatch, name, relation,
+                          inclusive, exclusive, built):
+        levels = _spy(monkeypatch, "fanlat.filtration", "_build_level")
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(fan_to_dict(catalog_entry(name).fan)))
+        code, report, _ = run_json(capsys, "depth", str(path), "--relation", relation,
+                                   "--policy", "both")
+        assert code == 0
+        assert report["results"] == {"inclusive": {"relation": relation.split(","),
+                                                   "depth": inclusive},
+                                     "exclusive": {"relation": relation.split(","),
+                                                   "depth": exclusive}}
+        got = {"inclusive": set(), "exclusive": set()}
+        for _, (policy, k) in levels:
+            got[policy.value].add(k)
+        assert got == built
+
+    def test_oracle_builds_the_levels_it_reads(self, capsys, p2xp1_file, monkeypatch):
+        levels = _spy(monkeypatch, "fanlat.filtration", "_build_level")
+        code, report, _ = run_json(capsys, "depth", p2xp1_file, "--relation", "1,1,1,0,0",
+                                   "--policy", "inclusive", "--max-coeff", "2")
+        assert code == 0
+        assert report["results"]["inclusive"]["oracle_confirmed"] is True
+        assert sorted(k for _, (_, k) in levels) == [0, 1]
+
+    def test_errors_come_from_the_first_policy(self, capsys, p2xp1_file, monkeypatch):
+        levels = _spy(monkeypatch, "fanlat.filtration", "_build_level")
+        for relation, message in (("0,0,0,0,0", "zero relation"),
+                                  ("1,0,0,0,0", "is not a relation"),
+                                  ("1,1", "does not match")):
+            code, out, err = run(capsys, "depth", p2xp1_file, "--relation", relation,
+                                 "--policy", "exclusive")
+            assert (code, out) == (1, "")
+            assert message in err and err.count("\n") == 1
+        assert levels == []
 
 
 class TestDecompose:
@@ -287,6 +347,29 @@ class TestUnwritableOutput:
         assert err.startswith(f"error: cannot write {target}: ")
         assert err.count("\n") == 1
 
+    def test_subdivide_out_is_not_written_when_the_mirror_fails(self, capsys, p2_file,
+                                                                 tmp_path):
+        out_path = tmp_path / "after.json"
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "subdivide", p2_file, "--cone", "0,1", "--ray", "1,1",
+                             "--out", str(out_path), "--json", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not out_path.exists()
+
+    def test_subdivide_out_matches_save_fan(self, capsys, p2_file, tmp_path):
+        out_path = tmp_path / "after.json"
+        mirror = tmp_path / "mirror.json"
+        code, out, _ = run(capsys, "subdivide", p2_file, "--cone", "0,1", "--ray", "1,1",
+                           "--out", str(out_path), "--json", str(mirror))
+        assert code == 0
+        assert mirror.read_text() == out
+        fan = load_fan(p2_file)
+        expected = tmp_path / "expected.json"
+        save_fan(stellar_subdivide(fan, fan.cone((0, 1)), (1, 1)), str(expected))
+        assert out_path.read_bytes() == expected.read_bytes()
+
     def test_json_mirror_matches_stdout(self, capsys, p2_file, tmp_path):
         target = tmp_path / "mirror.json"
         code, out, _ = run(capsys, "conjecture", p2_file, "--trials", "40", "--seed", "2",
@@ -405,24 +488,12 @@ class TestOneAnalysisPerFan:
 
 
 class TestScanBuildsOnlyWhatItReads:
-    """A scan builds only what its depths need, and reuses untouched stars."""
+    """A scan builds only what its depths need, and never a star."""
 
     def test_conjecture_on_p3(self, capsys, tmp_path, monkeypatch):
-        built = {"kernel": [], "level": [], "star": []}
-
-        def spy(module, name, kind):
-            module = importlib.import_module(module)
-            real = getattr(module, name)
-
-            def recorder(fan, *args):
-                built[kind].append((fan, args))
-                return real(fan, *args)
-
-            monkeypatch.setattr(module, name, recorder)
-
-        spy("fanlat.lattices", "_embedded_kernel", "kernel")
-        spy("fanlat.filtration", "_build_level", "level")
-        spy("fanlat.fan", "_star", "star")
+        kernels = _spy(monkeypatch, "fanlat.lattices", "_embedded_kernel")
+        levels = _spy(monkeypatch, "fanlat.filtration", "_build_level")
+        stars = _spy(monkeypatch, "fanlat.fan", "_star")
         path = tmp_path / "p3.json"
         path.write_text(json.dumps(fan_to_dict(catalog_entry("p3").fan)))
         code, report, _ = run_json(capsys, "conjecture", str(path), "--trials", "20")
@@ -431,22 +502,35 @@ class TestScanBuildsOnlyWhatItReads:
         assert all(rec["depth_after"] == 1 for tr in report["traces"] for rec in tr["records"])
         # Every depth is 1, certified by the support of a codim-1 star: no
         # fan builds level 1 or any star kernel, only the free level 0.
-        assert built["kernel"] == []
-        assert built["level"] and all(args[1] == 0 for _, args in built["level"])
+        assert kernels == []
+        assert levels and all(args[1] == 0 for _, args in levels)
         # One refined fan per distinct draw; the scan repeats some draws.
         draws = {(tuple(tr["cone"]), tuple(tr["new_ray"])) for tr in report["traces"]}
-        refined = {id(fan) for fan, _ in built["level"] if len(fan.rays) == 5}
+        refined = {id(fan) for fan, _ in levels if len(fan.rays) == 5}
         assert len(refined) == len(draws) < report["completed_trials"]
-        # Depth queries build codim-1 stars only until one fits, so the
-        # parent builds some of its stars and a refined fan may need others.
-        parent_stars = {key for fan, (key,) in built["star"] if len(fan.rays) == 4}
-        refined_stars = [(fan, key) for fan, (key,) in built["star"] if len(fan.rays) == 5]
-        assert refined_stars
-        assert any(4 in star(fan, fan.cone(key))[1] for fan, key in refined_stars)
-        for fan, key in refined_stars:
-            # The new ray is last; a star without it is the parent's, which
-            # the refined fan was seeded with if the parent had built it.
-            assert 4 in star(fan, fan.cone(key))[1] or key not in parent_stars, key
+        # The certificates read the star-set tables, which a simplicial fan
+        # fills from its maximal cones without building a single star.
+        assert stars == []
+
+
+def test_report_computes_each_depth_once(capsys, p2xp1_file, monkeypatch):
+    filtration_module = importlib.import_module("fanlat.filtration")
+    real = filtration_module.FiltrationProfile.depth_of
+    asked = Counter()
+
+    def depth_of(profile, relation):
+        asked[profile.policy, tuple(relation)] += 1
+        return real(profile, relation)
+
+    monkeypatch.setattr(filtration_module.FiltrationProfile, "depth_of", depth_of)
+    code, report, _ = run_json(capsys, "report", p2xp1_file, "--policy", "both")
+    assert code == 0
+    assert report["discrepancies"] == [{
+        "relation": ["1", "1", "1", "0", "0"], "inclusive_depth": 1, "exclusive_depth": 2,
+        "note": ("support policies disagree: inclusive counts every star ray, "
+                 "exclusive drops the cone's own rays")}]
+    assert len(asked) == 2 * report["relation_lattice"]["rank"]
+    assert set(asked.values()) == {1}
 
 
 def test_json_flag_mirrors_stdout(capsys, p2_file, tmp_path):

@@ -11,7 +11,7 @@ import oracles
 from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError, NotSimplicialError
 from fanlat.fan import (apply_unimodular, build_fan, is_complete, localize,
-                        primitive, star)
+                        primitive, star, star_sets)
 from fanlat.intlin import IntMatrix, Sublattice, hnf, sublattice_index
 from fanlat.qsolve import cone_pair_proper, det, fm_feasible, solve_unique
 
@@ -198,28 +198,43 @@ def complete_by_ridge_solves(fan):
     return True
 
 
+def _assert_star_sets_match_oracle(fan):
+    keys = [c.ray_indices for c in fan.cones]
+    for k in range(fan.rank + 1):
+        expected = [(c.ray_indices, tuple(oracles.star_bruteforce(keys, c.ray_indices)[1]))
+                    for c in fan.cones if c.ray_indices and c.codim == k]
+        assert list(star_sets(fan, k).items()) == expected, (fan, k)
+
+
+def _chained_subdivisions(name, seed, steps):
+    """A catalog fan and the fans of a chain of seeded stellar subdivisions of it."""
+    rng = random.Random(seed)
+    fans = [catalog_entry(name).fan]
+    for _ in range(steps):
+        draw = refine_module.random_stellar_draw(fans[-1], rng)
+        assert draw is not None
+        fans.append(refine_module.stellar_subdivide(fans[-1], *draw))
+    return fans
+
+
 class TestIncidenceIndex:
-    """Stars from the incidence map and maximal cones from one pass; checked by brute force."""
+    """Stars, star sets and maximal cones, checked by brute force."""
 
     @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
     def test_catalog_fans(self, entry):
         _assert_stars_and_maximal_match_oracles(entry.fan)
 
     def test_chained_stellar_subdivisions(self):
-        rng = random.Random(909)
-        fan = catalog_entry("p2xp1").fan
-        for _ in range(20):
+        # Every refinement builds its stars afresh from its own cones.
+        for fan in _chained_subdivisions("p2xp1", 909, 20):
             _assert_stars_and_maximal_match_oracles(fan)
-            assert "incidence" in fan._memo
-            draw = refine_module.random_stellar_draw(fan, rng)
-            assert draw is not None
-            refined = refine_module.stellar_subdivide(fan, *draw)
-            # The refinement starts from its parent's untouched stars but
-            # builds its own incidence map.
-            assert any(isinstance(key, tuple) and key[0] == "star" for key in refined._memo)
-            assert "incidence" not in refined._memo
-            fan = refined
-        _assert_stars_and_maximal_match_oracles(fan)
+
+    def test_star_sets_match_bruteforce(self):
+        fans = [entry.fan for entry in catalog()]
+        fans += _chained_subdivisions("p2xp1", 909, 20)[1:]
+        fans += [quad_cone_fan(), build_fan(0, [], [()])]
+        for fan in fans:
+            _assert_star_sets_match_oracle(fan)
 
     def test_trusted_non_simplicial_square(self):
         fan = quad_cone_fan()

@@ -8,13 +8,14 @@ import pytest
 import oracles
 from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import NotARelationError, NotCompleteError, NotLocallyGeneratedError
-from fanlat.fan import build_fan, star
+from fanlat.fan import build_fan, star, star_sets
 from fanlat.filtration import (check_generation, depth, filtration,
                                local_decompose)
 from fanlat.intlin import Sublattice, lattice_equal, member
 from fanlat.lattices import SupportPolicy, rel_lattice, rel_lattice_star, star_support
 from fanlat.refine import random_stellar_draw, stellar_subdivide
 
+fan_module = importlib.import_module("fanlat.fan")
 filtration_module = importlib.import_module("fanlat.filtration")
 
 INC = SupportPolicy.INCLUSIVE
@@ -82,6 +83,19 @@ class TestFiltrationLevels:
         level1 = profile.contributing[1]
         assert all(cone.codim == 1 and rank > 0 for cone, rank in level1)
         assert any(cone.ray_indices == (0, 1) for cone, _ in level1)
+
+
+def _spy(monkeypatch, name):
+    """Wrap fanlat.fan's function name so that each call logs (fan, other args); return the log."""
+    real = getattr(fan_module, name)
+    calls = []
+
+    def recorder(fan, *args):
+        calls.append((fan, args))
+        return real(fan, *args)
+
+    monkeypatch.setattr(fan_module, name, recorder)
+    return calls
 
 
 def _built_levels(fan, policy):
@@ -191,10 +205,10 @@ class TestStarSetTable:
 
     def test_table_matches_stars(self):
         for fan in self._fans():
-            for dim in range(1, fan.rank + 1):
-                expected = {c.ray_indices: star(fan, c)[1] for c in fan.cones
-                            if len(c.ray_indices) == dim}
-                assert filtration_module._star_sets(fan, dim) == expected, (fan, dim)
+            for k in range(fan.rank + 1):
+                expected = [(c.ray_indices, star(fan, c)[1]) for c in fan.cones
+                            if c.ray_indices and c.codim == k]
+                assert list(star_sets(fan, k).items()) == expected, (fan, k)
 
     def test_levels_sum_the_star_kernels_of_their_cones(self):
         for fan in self._fans():
@@ -209,16 +223,19 @@ class TestStarSetTable:
                         c.ray_indices for c in fan.cones if c.ray_indices and c.codim == k
                         and rel_lattice_star(fan, c, policy).rank], (fan, policy, k)
 
-    def test_levels_build_no_star_and_depth_queries_no_table(self):
+    def test_levels_and_depth_queries_share_one_table_and_build_no_star(self, monkeypatch):
+        stars = _spy(monkeypatch, "_star")
+        tables = _spy(monkeypatch, "_star_sets")
         fan = _fresh(catalog_entry("p2xp1").fan)
-        filtration(fan, INC).levels
-        filtration(fan, EXC).levels
-        assert not any(key[0] == "star" for key in fan._memo)
-        assert {key[1] for key in fan._memo if key[0] == "star_sets"} == {1, 2}
-        fan = _fresh(catalog_entry("p3").fan)
-        assert filtration(fan, INC).depth_of((1, 1, 1, 1)) == 1
-        assert any(key[0] == "star" for key in fan._memo)
-        assert not any(key[0] == "star_sets" for key in fan._memo)
+        for policy in (INC, EXC):
+            for r in rel_lattice(fan).basis_rows:
+                filtration(fan, policy).depth_of(r)
+            filtration(fan, policy).levels
+        assert stars == []
+        # One table per codimension (codim 3 has no nonzero cone), whichever
+        # policy or query asks first.
+        assert sorted(args for _, args in tables) == [(1,), (2,), (3,)]
+        assert star_sets(fan, 3) == {}
 
 
 class TestDepthBySupportCertificate:
@@ -270,24 +287,25 @@ class TestDepthBySupportCertificate:
             assert filtration(fan, INC).depth_of(v) is None
         assert _built_levels(fan, INC) == {0}
 
-    def test_stars_are_built_until_one_fits(self):
-        def built_stars(fan):
-            return {key[1] for key in fan._memo if key[0] == "star"}
-
-        fan = _fresh(catalog_entry("p3").fan)
-        assert filtration(fan, INC).depth_of((1, 1, 1, 1)) == 1
-        assert built_stars(fan) == {(0, 1)}  # the first codim-1 star fits
-        # p2xp1's codim-1 cones in cones order start (0, 1), (0, 2), (0, 3).
-        fan = _fresh(catalog_entry("p2xp1").fan)
-        profile = filtration(fan, INC)
-        assert profile.depth_of((0, 0, 0, 1, 1)) == 1
-        assert built_stars(fan) == {(0, 1)}
-        assert profile.depth_of((1, 1, 1, 0, 0)) == 1
-        assert built_stars(fan) == {(0, 1), (0, 2), (0, 3)}
-        # Later queries test the masks built so far before building more.
-        assert profile.depth_of((0, 0, 0, 2, 2)) == profile.depth_of((2, 2, 2, 0, 0)) == 1
-        assert built_stars(fan) == {(0, 1), (0, 2), (0, 3)}
-        assert _built_levels(fan, INC) == {0}
+    def test_certificate_reads_each_distinct_support_once(self, monkeypatch):
+        stars = _spy(monkeypatch, "_star")
+        for name in ("p3", "p2xp1"):
+            fan = _fresh(catalog_entry(name).fan)
+            keys = [c.ray_indices for c in fan.cones]
+            for policy in (INC, EXC):
+                for r in _probe_vectors(fan, random.Random(11)):
+                    filtration(fan, policy).depth_of(r)
+                for k in range(1, fan.rank):
+                    supports = []
+                    for c in fan.cones:
+                        if c.ray_indices and c.codim == k:
+                            rays = oracles.star_bruteforce(keys, c.ray_indices)[1]
+                            if policy is EXC:
+                                rays = [i for i in rays if i not in c.ray_indices]
+                            supports.append(sum(1 << i for i in rays))
+                    masks = filtration_module._star_masks(fan, policy, k)
+                    assert masks == tuple(dict.fromkeys(supports)), (name, policy, k)
+        assert stars == []
 
     def test_zero_vector_has_depth_zero(self):
         for entry in catalog():

@@ -68,6 +68,8 @@ class TestRelLatticeStar:
         fan = catalog_entry("p2").fan
         with pytest.raises(FanValidationError):
             rel_lattice_star(fan, fan.zero_cone, INC)
+        with pytest.raises(FanValidationError):
+            star_support(fan, fan.zero_cone, EXC)
 
 
 class TestCanonicalKernelRows:
