@@ -81,10 +81,13 @@ class Fan:
     cone (read by is_complete), completeness, the relation lattice, the
     star sets of each codimension (star_sets, the one source of star
     rays), star kernels (keyed by their sorted support, so cones and
-    policies with one support share one kernel), filtration levels, the
-    distinct star supports of each codimension per support policy as
-    ray bitmasks (read by FiltrationProfile.depth_of to certify a
-    depth), the factored ray-star system that local_decompose solves
+    policies with one support share one kernel), filtration levels
+    (which stop at the cached relation lattice), the contributing cones
+    of each level with their star-kernel ranks (kept apart from the
+    levels and read without kernels), the distinct star supports of
+    each codimension per support policy as ray bitmasks (read by
+    FiltrationProfile.depth_of to certify a depth), the factored
+    ray-star system that local_decompose solves
     against, and, for each cone that stellar_subdivide refined, the part
     of that subdivision that does not depend on the new ray (the refined
     face map and the padded star kernels). A new fan starts with an

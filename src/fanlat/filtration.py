@@ -10,16 +10,30 @@ Levels are built on demand, each from the one below, and cached on the
 fan, so a depth query builds only the levels up to the answer. Every
 star set comes from the fan's star-set table of its codimension
 (fan.star_sets), and each star kernel is asked by its support, so cones
-and policies with one support share one kernel. Three exact shortcuts
+and policies with one support share one kernel. Four exact shortcuts
 skip work: on a simplicial fan a codim-0 cone's star kernel is zero
 (the cone is its own star and its rays are independent); a level that
 gains no generator is the level below it, which makes level n always
-level n-1; and a depth query answers k without building level k when
-the relation lies in no level below k and its support fits the star
-set of a codim-k cone (the star's rays under the inclusive policy,
+level n-1; a level stops at the relation lattice L_rel when that is
+cached on the fan; and a depth query answers k without building level
+k when the relation lies in no level below k and its support fits the
+star set of a codim-k cone (the star's rays under the inclusive policy,
 those outside the cone under the exclusive one). The star kernel of
 that cone is every relation supported on its star set, and it lies
 inside level k, so the support certificate is exact.
+
+Every level lies inside L_rel, so a level equal to it is every level
+above it. Canonical bases are unique (Cohen, *A Course in Computational
+Algebraic Number Theory*, section 2.4), so equality is a comparison of
+bases. A level whose level below equals L_rel is that level, and reads
+no star set or kernel. Otherwise each distinct support's kernel enters
+a running Hermite sum, and the level is L_rel as soon as that sum is;
+the supports after it are not read. FiltrationProfile.levels computes
+L_rel first; a depth query never reads a level above its answer, so it
+does not, and without L_rel the running sum takes every kernel. The
+contributing cones of a level are kept apart from it: a cone's
+star-kernel rank is the size of its support minus the rank of the
+support's rays, so listing them builds no kernel and no level.
 
 local_decompose writes a global relation as a sum of pieces, one per
 ray, each a relation supported inside that ray's star. Inclusive level
@@ -38,10 +52,11 @@ from typing import Optional, Sequence
 from .errors import (InternalCheckError, NotARelationError, NotCompleteError,
                      NotLocallyGeneratedError, NotSimplicialError)
 from .fan import ConeRef, Fan, is_complete, star_sets
-from .intlin import (ColumnFactor, IntMatrix, Sublattice, factor_columns, lattice_equal,
-                     lattice_sum, member, solve_factored)
-from .lattices import (RelLattice, SupportPolicy, _policy_support, _star_kernel, rel_lattice,
-                       rel_lattice_star, star_support)
+from .intlin import (ColumnFactor, IntMatrix, Sublattice, _hermite, factor_columns,
+                     lattice_equal, member, solve_factored)
+from .lattices import (RelLattice, SupportPolicy, _cached_rel_lattice, _policy_support,
+                       _star_kernel, _star_kernel_rank, rel_lattice, rel_lattice_star,
+                       star_support)
 
 
 @dataclass(frozen=True)
@@ -49,16 +64,19 @@ class FiltrationProfile:
     """Filtration levels 0..n of a fan under one policy, built on demand.
 
     contributing[k] lists (cone, star-kernel rank) for the cones of
-    codimension exactly k whose star kernel is nonzero. Each level is
+    codimension exactly k whose star kernel is nonzero; it is cached on
+    the fan apart from the levels, and builds no kernel. Each level is
     built on first use from the level below it and cached on the fan:
-    levels, contributing and level_ranks build every level, level(k)
-    the levels up to k, while depth_of stops at the first level that
-    contains the relation. Before it builds a level k >= 1 that is not
-    cached yet, depth_of tests the relation's support against the
-    distinct star supports of the codim-k cones (int bitmasks, cached on
-    the fan per policy and k); a fit answers k for a relation and None
-    for a vector that is not one, and level k is not built. Levels that
-    are cached already are read by membership alone.
+    levels and level_ranks compute the relation lattice and then build
+    every level, each one above the first that equals the relation
+    lattice for free; level(k) builds the levels up to k, while
+    depth_of stops at the first level that contains the relation and
+    never computes the relation lattice. Before it builds a level
+    k >= 1 that is not cached yet, depth_of tests the relation's support
+    against the distinct star supports of the codim-k cones (int
+    bitmasks, cached on the fan per policy and k); a fit answers k for a
+    relation and None for a vector that is not one, and level k is not
+    built. Levels that are cached already are read by membership alone.
     """
 
     fan: Fan
@@ -66,14 +84,16 @@ class FiltrationProfile:
 
     @property
     def levels(self) -> tuple[Sublattice, ...]:
+        # The relation lattice first, so that the levels stop at it.
+        rel_lattice(self.fan)
         return tuple(self.level(k) for k in range(self.fan.rank + 1))
 
     def level(self, k: int) -> Sublattice:
-        return _level(self.fan, self.policy, k)[0]
+        return _level(self.fan, self.policy, k)
 
     @property
     def contributing(self) -> tuple[tuple[tuple[ConeRef, int], ...], ...]:
-        return tuple(_level(self.fan, self.policy, k)[1] for k in range(self.fan.rank + 1))
+        return tuple(_contributing(self.fan, self.policy, k) for k in range(self.fan.rank + 1))
 
     @property
     def relation_lattice(self) -> RelLattice:
@@ -134,29 +154,64 @@ def filtration(fan: Fan, policy: SupportPolicy) -> FiltrationProfile:
     return FiltrationProfile(fan, policy)
 
 
-def _level(fan: Fan, policy: SupportPolicy, k: int) -> tuple[Sublattice, tuple]:
-    """Level k with its contributing cones, built from level k-1 and cached."""
+def _level(fan: Fan, policy: SupportPolicy, k: int) -> Sublattice:
+    """Level k, built from level k-1 and cached."""
     return fan._cached(("level", policy, k), lambda: _build_level(fan, policy, k))
 
 
-def _build_level(fan: Fan, policy: SupportPolicy, k: int) -> tuple[Sublattice, tuple]:
-    below = _level(fan, policy, k - 1)[0] if k else Sublattice(len(fan.rays))
-    parts, contribs = [], []
-    # The star of a codim-0 cone of a simplicial fan is the cone alone,
-    # whose rays are independent, so its kernel is zero under both policies.
-    if k or not fan.simplicial:
+def _build_level(fan: Fan, policy: SupportPolicy, k: int) -> Sublattice:
+    """Level k-1 plus the star kernels of the codim-k cones, stopping at a cached L_rel."""
+    m = len(fan.rays)
+    below = _level(fan, policy, k - 1) if k else Sublattice(m)
+    # Levels lie inside the relation lattice, so one that equals it is
+    # every level above it. Read only when cached: a depth query must not
+    # pay for the relation lattice.
+    rel = _cached_rel_lattice(fan)
+    target = rel.sublattice if rel is not None else None
+    if target is not None and below == target:
+        return below
+    # A running canonical sum, which stops reading kernels once it is the
+    # relation lattice; canonical bases are unique, so the sum is the one
+    # lattice_sum would give.
+    rows, grown = list(below.basis_rows), False
+    for support in dict.fromkeys(support for _, support in _codim_supports(fan, policy, k)):
+        kernel = _star_kernel(fan, support).sublattice
+        if kernel.rank:
+            rows = [row for row in _hermite(rows + list(kernel.basis_rows), m) if any(row)]
+            grown = True
+            if (target is not None and len(rows) == target.rank
+                    and tuple(map(tuple, rows)) == target.basis_rows):
+                return target
+    return Sublattice._from_canonical(m, rows) if grown else below
+
+
+def _contributing(fan: Fan, policy: SupportPolicy, k: int) -> tuple[tuple[ConeRef, int], ...]:
+    """(cone, star-kernel rank) for the codim-k cones with a nonzero star kernel, cached.
+
+    Each distinct support's rank is read once, from the rank of its rays
+    (_star_kernel_rank), so no kernel is built.
+    """
+    def build():
+        ranks, found = {}, []
         for cone, support in _codim_supports(fan, policy, k):
-            local = _star_kernel(fan, support).sublattice
-            if local.rank:
-                contribs.append((cone, local.rank))
-                parts.append(local)
-    if not parts:
-        return below, ()
-    return lattice_sum([below] + parts, ambient_rank=len(fan.rays)), tuple(contribs)
+            rank = ranks.get(support)
+            if rank is None:
+                rank = ranks[support] = _star_kernel_rank(fan, support)
+            if rank:
+                found.append((cone, rank))
+        return tuple(found)
+    return fan._cached(("contributing", policy, k), build)
 
 
 def _codim_supports(fan: Fan, policy: SupportPolicy, k: int) -> list:
-    """(cone, star support) for every nonzero codim-k cone, in cones order."""
+    """(cone, star support) for every nonzero codim-k cone, in cones order.
+
+    The star of a codim-0 cone of a simplicial fan is the cone alone,
+    whose rays are independent, so its kernel is zero under both
+    policies and no support is listed.
+    """
+    if not k and fan.simplicial:
+        return []
     return [(fan.cone(key), _policy_support(rays, key, policy))
             for key, rays in star_sets(fan, k).items()]
 

@@ -3,14 +3,16 @@
 Hermite and Smith normal forms, integer kernels, saturation, and
 canonical sublattice arithmetic. snf always returns its unimodular
 transforms; hnf returns the row transform, and hnf_basis runs the same
-elimination without building it, for callers (Sublattice, matrix_rank)
-that only read the form. The row-style HNF used here (positive pivots,
-entries above each pivot reduced into [0, pivot), zero rows trailing)
-is the single canonical form of the package: two sublattices are equal
-iff their canonical bases are identical tuples. An integer kernel is two
-eliminations: the row HNF of [m^T | I] over the columns of m^T leaves a
-kernel basis in the identity part of its rows that vanish on m^T, and
-an HNF of those parts alone makes that basis canonical.
+elimination without building it, for callers (Sublattice, lattice_sum)
+that only read the form; matrix_rank counts the pivots of qsolve's
+fraction-free echelon and needs no HNF. The row-style HNF used here
+(positive pivots, entries above each pivot reduced into [0, pivot),
+zero rows trailing) is the single canonical form of the package: two
+sublattices are equal iff their canonical bases are identical tuples.
+An integer kernel is two eliminations: the row HNF of [m^T | I] over
+the columns of m^T leaves a kernel basis in the identity part of its
+rows that vanish on m^T, and an HNF of those parts alone makes that
+basis canonical.
 
 Entries are type-checked where they enter, in the public IntMatrix and
 Sublattice constructors and IntMatrix.from_columns; every matrix derived
@@ -26,6 +28,8 @@ solve_factored can reuse it for every right-hand side.
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence
+
+from .qsolve import _echelon
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -308,7 +312,8 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def matrix_rank(m: IntMatrix) -> int:
-    return sum(1 for row in hnf_basis(m).entries if any(row))
+    """Rank of m: its number of pivot columns in one fraction-free echelon, without an HNF."""
+    return len(_echelon([list(row) for row in m.entries], m.cols)[0])
 
 
 class Sublattice:

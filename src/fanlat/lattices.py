@@ -15,9 +15,12 @@ support): cones with equal star sets share one kernel, and so do the two
 policies where their supports coincide. A support of at most rank + 1
 rays whose kernel has rank 0 or 1 gets that kernel from one
 fraction-free elimination of its rays; every other support takes the
-Hermite elimination of integer_kernel. Because a kernel is keyed by its
-support, a stellar subdivision starts from every kernel its parent
-cached, padded with a zero for the new ray (_padded_kernels).
+Hermite elimination of integer_kernel. The rank of a star kernel needs
+no kernel: it is the support size minus the rank of its rays
+(_star_kernel_rank), one fraction-free elimination. Because
+a kernel is keyed by its support, a stellar subdivision starts from
+every kernel its parent cached, padded with a zero for the new ray
+(_padded_kernels).
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from typing import Optional, Sequence
 
 from .errors import FanValidationError
 from .fan import ConeRef, Fan, localize, star_sets
-from .intlin import IntMatrix, Sublattice, integer_kernel, snf, sublattice_index
+from .intlin import IntMatrix, Sublattice, integer_kernel, matrix_rank, snf, sublattice_index
+from .qsolve import _echelon
 
 
 class SupportPolicy(enum.Enum):
@@ -89,14 +93,22 @@ def ray_lattice(fan: Fan) -> RayLattice:
     return RayLattice(sublattice=sub, index_in_ambient=sublattice_index(sub))
 
 
+_REL_LATTICE = "rel_lattice"
+
+
 def rel_lattice(fan: Fan) -> RelLattice:
     """Kernel of the full ray matrix, labeled by the fan's ray indices.
 
     Computed once per fan and cached on it.
     """
-    return fan._cached("rel_lattice", lambda: RelLattice(
+    return fan._cached(_REL_LATTICE, lambda: RelLattice(
         ray_labels=tuple(range(len(fan.rays))),
         sublattice=integer_kernel(fan.ray_matrix())))
+
+
+def _cached_rel_lattice(fan: Fan) -> Optional[RelLattice]:
+    """rel_lattice(fan) if it is cached already, else None; computes nothing."""
+    return fan._memo.get(_REL_LATTICE)
 
 
 def _embedded_kernel(fan: Fan, support: Sequence[int]) -> Sublattice:
@@ -122,46 +134,29 @@ def _embedded_kernel(fan: Fan, support: Sequence[int]) -> Sublattice:
 def _kernel_of_corank_one(columns: Sequence[Sequence[int]], n: int) -> Optional[list]:
     """The canonical kernel basis of the n x k matrix with these columns, if its rank is k or k - 1.
 
-    One fraction-free elimination to echelon form (Bareiss, as in
-    qsolve._bareiss) that skips a column without a pivot. No free column
-    means the kernel is zero. One free column f: the last pivot d is,
-    up to sign, the determinant of the pivot columns in the rows that
-    hold the pivots, so by Cramer's rule the kernel vector with d at f
-    is integral, and back-substitution finds it with exact divisions.
-    Made primitive with its leading entry positive, it is the canonical
-    HNF basis of the rank-one kernel. Returns None when two or more
-    columns are free.
+    One fraction-free elimination to echelon form (qsolve._echelon),
+    which skips a column without a pivot. No free column means the
+    kernel is zero. One free column f: the last pivot d is, up to sign,
+    the determinant of the pivot columns in the rows that hold the
+    pivots, so by Cramer's rule the kernel vector with d at f is
+    integral, and back-substitution finds it with exact divisions. Made
+    primitive with its leading entry positive, it is the canonical HNF
+    basis of the rank-one kernel. Returns None when two or more columns
+    are free.
     """
     k = len(columns)
     if not k:
         return []
     rows = [list(row) for row in zip(*columns)]
-    pivot_cols, free, scale = [], None, 1
-    r = 0
-    for c in range(k):
-        for piv in range(r, n):
-            if rows[piv][c]:
-                break
-        else:
-            if free is not None:
-                return None
-            free = c
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pivot = prow[c]
-        for i in range(r + 1, n):
-            f = rows[i][c]
-            rows[i] = [(pivot * a - f * b) // scale for a, b in zip(rows[i], prow)]
-        pivot_cols.append(c)
-        scale = pivot
-        r += 1
-    if free is None:
+    pivot_cols, _, scale = _echelon(rows, k)
+    if len(pivot_cols) == k:
         return []
+    if len(pivot_cols) < k - 1:
+        return None
+    free = next(c for c in range(k) if c not in pivot_cols)
     vec = [0] * k
     vec[free] = scale
-    for row, c in zip(reversed(rows[:r]), reversed(pivot_cols)):
+    for row, c in zip(reversed(rows[:len(pivot_cols)]), reversed(pivot_cols)):
         vec[c] = -sum(a * b for a, b in zip(row[c + 1:], vec[c + 1:])) // row[c]
     g = 0
     for x in vec:
@@ -229,6 +224,14 @@ def _star_kernel(fan: Fan, support: tuple[int, ...]) -> RelLattice:
     """Relations supported on the sorted ray tuple support, cached on the fan."""
     return fan._cached(("kernel", support), lambda: RelLattice(
         ray_labels=tuple(range(len(fan.rays))), sublattice=_embedded_kernel(fan, support)))
+
+
+def _star_kernel_rank(fan: Fan, support: tuple[int, ...]) -> int:
+    """The rank of _star_kernel(fan, support), without building the kernel.
+
+    It is the number of rays in the support minus their rank.
+    """
+    return len(support) - matrix_rank(IntMatrix._of([fan.rays[i] for i in support], fan.rank))
 
 
 def rel_lattice_internal(fan: Fan, tau: ConeRef) -> RelLattice:

@@ -5,7 +5,8 @@ tests, the orientation signs of the completeness test, and the pairwise
 cone-intersection check. All of it pivots fraction-free (Bareiss,
 Edmonds): every entry kept is an integer minor of the input, so each
 division is exact and no rational number is ever formed. Solves and
-determinants share one elimination loop, _bareiss. Solutions come back
+determinants share one elimination loop, _echelon, which also gives
+the package its column ranks and small kernels. Solutions come back
 as integer numerators over one positive common denominator, so callers
 decide signs on integers; the feasibility test is a phase-I simplex
 under Bland's rule, so it always ends with an exact verdict.
@@ -16,32 +17,40 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 
-def _bareiss(rows: list[list[int]], k: int, reduce_above: bool) -> Optional[tuple[int, int]]:
+def _echelon(rows: list[list[int]], k: int,
+             reduce_above: bool = False) -> tuple[list[int], int, int]:
     """Fraction-free elimination of the first k columns of rows, in place.
 
     Bareiss, *Math. Comp.* 22 (1968): each step scales by the new pivot
     and divides exactly by the previous one, so the last pivot is the
-    determinant of the k pivot rows. Rows above each pivot are cleared
-    too when reduce_above is set (Gauss-Jordan). Returns (swap sign,
-    last pivot), or None when the first k columns are dependent.
+    determinant of the pivot columns in the pivot rows. A column without
+    a pivot below the rows already used is skipped. Rows above each
+    pivot are cleared too when reduce_above is set (Gauss-Jordan).
+    Returns (pivot columns, swap sign, last pivot); the pivot rows are
+    the first ones, and the column rank of the k columns is the number
+    of pivot columns.
     """
     n = len(rows)
-    scale, sign = 1, 1
+    pivots, scale, sign, r = [], 1, 1, 0
     for c in range(k):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return None
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
+        for piv in range(r, n):
+            if rows[piv][c]:
+                break
+        else:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
             sign = -sign
-        prow = rows[c]
+        prow = rows[r]
         pivot = prow[c]
-        for i in range(0 if reduce_above else c + 1, n):
-            if i != c:
+        for i in range(0 if reduce_above else r + 1, n):
+            if i != r:
                 f = rows[i][c]
                 rows[i] = [(pivot * a - f * b) // scale for a, b in zip(rows[i], prow)]
+        pivots.append(c)
         scale = pivot
-    return sign, scale
+        r += 1
+    return pivots, sign, scale
 
 
 def det(rows: Sequence[Sequence[int]]) -> int:
@@ -49,8 +58,8 @@ def det(rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    result = _bareiss([list(row) for row in rows], n, False)
-    return 0 if result is None else result[0] * result[1]
+    pivots, sign, scale = _echelon([list(row) for row in rows], n)
+    return sign * scale if len(pivots) == n else 0
 
 
 def solve_unique(columns: Sequence[Sequence[int]],
@@ -60,17 +69,16 @@ def solve_unique(columns: Sequence[Sequence[int]],
     Returns (nums, den) with den > 0 and x_j = nums[j] / den for the
     unique rational solution, or None if the system is inconsistent.
     Raises ValueError if the columns are dependent. Gauss-Jordan through
-    _bareiss: every pivot row ends with the same diagonal entry, the
+    _echelon: every pivot row ends with the same diagonal entry, the
     determinant of the pivot rows, and its last column holds the Cramer
     numerators.
     """
     k = len(columns)
     n = len(target)
     rows = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    result = _bareiss(rows, k, True)
-    if result is None:
+    pivots, _, scale = _echelon(rows, k, True)
+    if len(pivots) < k:
         raise ValueError("columns are linearly dependent")
-    scale = result[1]
     if any(rows[i][k] for i in range(k, n)):
         return None
     sign = -1 if scale < 0 else 1

@@ -1,0 +1,120 @@
+"""Mutated catalog fan files end with a documented exit code, never with an escaped exception.
+
+Each case is a catalog fan file with one to three random edits: a junk or
+extreme value, a deleted, repeated or reshaped ray or cone, a dropped
+key, trust or completeness claimed in the metadata, or broken JSON text.
+The seed is fixed, so the cases are the same on every run.
+"""
+
+import copy
+import json
+import random
+
+from fanlat.cli import main
+from fanlat.corpus import catalog
+from fanlat.fanio import fan_to_dict
+
+SEED = 20261019
+CASES = 300
+COMMANDS = (("report", "--policy", "both"), ("decompose",), ("validate",))
+JUNK = (None, True, 1.5, "1", [], {}, [1])
+EXTREME = (0, 2 ** 70, -(2 ** 70), 3 ** 41)
+
+
+def _value(rng, valid):
+    """A junk value one time in four, else one of valid or an extreme integer."""
+    if rng.random() < 0.25:
+        return rng.choice(JUNK)
+    return rng.choice(tuple(valid) + EXTREME)
+
+
+def _edit_vector(v, rng):
+    kind = rng.randrange(6)
+    if kind < 4 and v:
+        v[rng.randrange(len(v))] = _value(rng, range(-5, 6))
+    elif kind == 4 and rng.random() < 0.5:
+        v.append(rng.randint(-3, 3))
+    elif kind == 4:
+        v.pop()
+    else:
+        v[:] = [rng.choice((-1, 1)) * rng.randint(0, 3) for _ in v]
+
+
+def _drop_ray(data, i):
+    """Delete ray i and renumber the cones, which drop it too."""
+    del data["rays"][i]
+    data["maximal_cones"] = [[j - (j > i) for j in cone if j != i]
+                             for cone in data["maximal_cones"]]
+
+
+def _mutate(data, rng):
+    """One random edit of a fan dict, in place."""
+    kind = rng.randrange(10)
+    rays, cones = data["rays"], data["maximal_cones"]
+    if kind == 0:
+        _edit_vector(rng.choice(rays), rng)
+    elif kind == 1:
+        _drop_ray(data, rng.randrange(len(rays)))
+    elif kind == 2:
+        ray = rng.choice(rays)
+        rays.append(rng.choice(([2 * x for x in ray], [-x for x in ray], list(ray))))
+    elif kind == 3:
+        cone = rng.choice(cones)
+        cone.append(rng.choice((len(rays), -1, cone[0]) + tuple(range(len(rays)))))
+    elif kind == 4:
+        cone = rng.choice(cones)
+        if cone:
+            del cone[rng.randrange(len(cone))]
+    elif kind == 5:
+        cone = cones.pop(rng.randrange(len(cones)))
+        cones.extend(rng.choice(([], [cone, cone], [cone, []])))
+    elif kind == 6:
+        data["rank"] = _value(rng, (data["rank"] + 1, data["rank"] - 1))
+    elif kind == 7:
+        key = rng.choice(("rank", "rays", "maximal_cones", "metadata"))
+        if rng.random() < 0.5:
+            data.pop(key, None)
+        else:
+            data[key] = _value(rng, ())
+    elif kind == 8:
+        meta = data.setdefault("metadata", {})
+        key = rng.choice(("trust", "assert_complete", "name"))
+        meta[key] = rng.choice(JUNK) if rng.random() < 0.25 else rng.choice((True, False, "x"))
+    else:
+        data["cones"] = rng.choice((
+            copy.deepcopy(cones) + [[i] for i in range(len(rays))] + [[]],
+            [[0, 1]], _value(rng, ())))
+
+
+def _cases():
+    rng = random.Random(SEED)
+    bases = [fan_to_dict(entry.fan) for entry in catalog()]
+    for _ in range(CASES):
+        data = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            try:
+                _mutate(data, rng)
+            except (IndexError, TypeError, AttributeError, KeyError, ValueError):
+                pass  # an earlier edit removed what this one would change
+        text = json.dumps(data)
+        if rng.random() < 0.05:
+            text = text[:rng.randrange(len(text))]
+        yield text
+
+
+def test_mutated_fan_files_exit_with_documented_codes(tmp_path, capsys):
+    seen = set()
+    for i, text in enumerate(_cases()):
+        path = tmp_path / f"case{i}.json"
+        path.write_text(text)
+        for command in COMMANDS:
+            code = main([command[0], str(path), *command[1:]])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), (command, text, err)
+            assert "Traceback" not in err, (command, text)
+            # Only a success, or validate's verdict on a fan it could read, writes a report.
+            reported = code == 0 or (code, command[0]) == (1, "validate")
+            assert bool(out) == reported, (command, text)
+            seen.add(code)
+    # The cases reach every documented outcome.
+    assert seen == {0, 1, 2}

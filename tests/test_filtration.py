@@ -11,8 +11,9 @@ from fanlat.errors import NotARelationError, NotCompleteError, NotLocallyGenerat
 from fanlat.fan import build_fan, star, star_sets
 from fanlat.filtration import (check_generation, depth, filtration,
                                local_decompose)
-from fanlat.intlin import Sublattice, lattice_equal, member
-from fanlat.lattices import SupportPolicy, rel_lattice, rel_lattice_star, star_support
+from fanlat.intlin import IntMatrix, Sublattice, integer_kernel, lattice_equal, member
+from fanlat.lattices import (SupportPolicy, _cached_rel_lattice, rel_lattice, rel_lattice_star,
+                             star_support)
 from fanlat.refine import random_stellar_draw, stellar_subdivide
 
 fan_module = importlib.import_module("fanlat.fan")
@@ -232,9 +233,10 @@ class TestStarSetTable:
                 filtration(fan, policy).depth_of(r)
             filtration(fan, policy).levels
         assert stars == []
-        # One table per codimension (codim 3 has no nonzero cone), whichever
-        # policy or query asks first.
-        assert sorted(args for _, args in tables) == [(1,), (2,), (3,)]
+        # One table per codimension, whichever policy or query asks first.
+        # Both policies reach the relation lattice at level 2, so level 3
+        # reads no table (codim 3 has no nonzero cone anyway).
+        assert sorted(args for _, args in tables) == [(1,), (2,)]
         assert star_sets(fan, 3) == {}
 
 
@@ -312,6 +314,150 @@ class TestDepthBySupportCertificate:
             for policy in (INC, EXC):
                 fan = _fresh(entry.fan)
                 assert filtration(fan, policy).depth_of((0,) * len(fan.rays)) == 0
+
+
+def _kernel_rows(fan, support):
+    """A basis of the relations supported on support, zero-extended to every ray, by integer_kernel."""
+    columns = [fan.rays[i] for i in support]
+    rows = []
+    for row in integer_kernel(IntMatrix.from_columns(columns, height=fan.rank)).basis_rows:
+        vec = [0] * len(fan.rays)
+        for i, x in zip(support, row):
+            vec[i] = x
+        rows.append(vec)
+    return rows
+
+
+def _oracle_supports(fan, policy, k):
+    """(cone, star support) of every nonzero codim-k cone, in cones order, from brute-force stars."""
+    keys = [c.ray_indices for c in fan.cones]
+    out = []
+    for c in fan.cones:
+        if c.ray_indices and c.codim == k:
+            rays = oracles.star_bruteforce(keys, c.ray_indices)[1]
+            if policy is EXC:
+                rays = [i for i in rays if i not in c.ray_indices]
+            out.append((c, tuple(rays)))
+    return out
+
+
+class TestLevelsStopAtTheRelationLattice:
+    """With the relation lattice cached, levels read no star kernel once their sum reaches it."""
+
+    @staticmethod
+    def _check(fan, reads):
+        """Check the kernels each level reads against an oracle.
+
+        Returns how many supports went unread above the first level equal
+        to the relation lattice, and in how many levels the running sum
+        stopped early.
+        """
+        m = len(fan.rays)
+        rel = rel_lattice(fan).sublattice
+        above = inside = 0
+        for policy in (INC, EXC):
+            fresh = _fresh(fan)
+            rel_lattice(fresh)
+            profile = filtration(fresh, policy)
+            below = Sublattice(m)
+            for k in range(fan.rank + 1):
+                reads.clear()
+                level = profile.level(k)
+                supports = []
+                if k or not fan.simplicial:
+                    supports = list(dict.fromkeys(s for _, s in _oracle_supports(fan, policy, k)))
+                expected, rows = [], list(below.basis_rows)
+                if below != rel:
+                    for support in supports:
+                        expected.append(support)
+                        rows += _kernel_rows(fan, support)
+                        if Sublattice(m, rows) == rel:
+                            break
+                assert [s for f, s in reads if f is fresh] == expected, (fan, policy, k)
+                full = [row for support in supports for row in _kernel_rows(fan, support)]
+                assert level == Sublattice(m, list(below.basis_rows) + full), (fan, policy, k)
+                if below == rel:
+                    above += len(supports)
+                else:
+                    inside += len(expected) < len(supports)
+                below = level
+            reads.clear()
+            profile.contributing
+            assert reads == [], (fan, policy)
+        return above, inside
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Log (fan, support) for every star kernel that level building reads."""
+        real = filtration_module._star_kernel
+        log = []
+
+        def spy(fan, support):
+            log.append((fan, support))
+            return real(fan, support)
+
+        monkeypatch.setattr(filtration_module, "_star_kernel", spy)
+        return log
+
+    def test_catalog(self, reads):
+        counts = [self._check(entry.fan, reads) for entry in catalog()]
+        assert all(map(sum, zip(*counts)))
+
+    def test_grown_chain(self, reads):
+        chain = _subdivision_chain("p2xp1", 8, steps=20)
+        assert len(chain[-1].rays) == 25
+        counts = [self._check(fan, reads) for fan in chain[::4] + chain[-1:]]
+        assert all(map(sum, zip(*counts)))
+
+    def test_depth_queries_do_not_compute_the_relation_lattice(self):
+        fan = _fresh(catalog_entry("p2xp1").fan)
+        for policy in (INC, EXC):
+            filtration(fan, policy).depth_of((1, 1, 1, 0, 0))
+        assert _cached_rel_lattice(fan) is None
+        assert filtration(fan, INC).levels == filtration(_fresh(fan), INC).levels
+        assert _cached_rel_lattice(fan) == rel_lattice(fan)
+
+
+class TestContributingRanks:
+    """Contributing ranks, read without kernels, are the star kernels' ranks."""
+
+    @staticmethod
+    def _fans():
+        return ([entry.fan for entry in catalog()] + _subdivision_chain("p3", 2, steps=6)
+                + [cube_fan(), _non_pure_fan()])
+
+    def test_ranks_match_integer_kernel_and_brute_force(self):
+        brute = 0
+        for fan in self._fans():
+            for warm in (False, True):
+                for policy in (INC, EXC):
+                    f = _fresh(fan)
+                    if warm:
+                        # Levels cache the kernels below the relation lattice,
+                        # so some ranks are read from kernels and some are not.
+                        filtration(f, INC).levels
+                        filtration(f, EXC).levels
+                    got = filtration(f, policy).contributing
+                    for k in range(fan.rank + 1):
+                        expected = []
+                        for cone, support in (_oracle_supports(fan, policy, k)
+                                              if k or not fan.simplicial else []):
+                            columns = [fan.rays[i] for i in support]
+                            kernel = integer_kernel(
+                                IntMatrix.from_columns(columns, height=fan.rank))
+                            rank = kernel.rank
+                            # The box holds a kernel basis, so the kernel
+                            # vectors found in it span a lattice of its rank.
+                            bound = max((abs(x) for row in kernel.basis_rows for x in row),
+                                        default=1)
+                            if len(support) <= 4 and bound <= 3:
+                                found = oracles.kernel_vectors_bruteforce(columns, bound)
+                                assert Sublattice(len(support), found).rank == rank, support
+                                brute += 1
+                            if rank:
+                                expected.append((cone, rank))
+                        assert got[k] == tuple(expected), (fan, warm, policy, k)
+        assert brute > 100
 
 
 def test_member_agrees_with_oracle_on_catalog():
