@@ -8,9 +8,9 @@ experiments on filtration depths. All arithmetic is exact.
 """
 
 from .corpus import CatalogEntry, catalog, catalog_entry
-from .errors import (FanFileError, FanlatError, FanValidationError,
-                     InternalCheckError, NotARelationError, NotCompleteError,
-                     NotLocallyGeneratedError, NotSimplicialError)
+from .errors import (EnumerationLimitError, FanFileError, FanlatError,
+                     FanValidationError, InternalCheckError, NotARelationError,
+                     NotCompleteError, NotLocallyGeneratedError, NotSimplicialError)
 from .fan import (ConeRef, Fan, QuotientFan, apply_unimodular, build_fan,
                   is_complete, localize, primitive, star)
 from .fanio import dump_report, fan_from_dict, fan_to_dict, load_fan, save_fan
@@ -30,9 +30,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CatalogEntry", "catalog", "catalog_entry",
-    "FanFileError", "FanlatError", "FanValidationError", "InternalCheckError",
-    "NotARelationError", "NotCompleteError", "NotLocallyGeneratedError",
-    "NotSimplicialError",
+    "EnumerationLimitError", "FanFileError", "FanlatError", "FanValidationError",
+    "InternalCheckError", "NotARelationError", "NotCompleteError",
+    "NotLocallyGeneratedError", "NotSimplicialError",
     "ConeRef", "Fan", "QuotientFan", "apply_unimodular", "build_fan",
     "is_complete", "localize", "primitive", "star",
     "dump_report", "fan_from_dict", "fan_to_dict", "load_fan", "save_fan",

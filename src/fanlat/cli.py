@@ -2,7 +2,8 @@
 
 Reads fan files, prints JSON reports to stdout (optionally mirrored to
 a file via --json). Exit codes: 0 success, 1 semantic failure, 2 usage
-or parse error, 3 internal invariant breach.
+or parse error, 3 internal invariant breach or any other exception,
+which is a bug: it prints one line and no traceback.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import sys
 from typing import Optional, Sequence
 
 from .corpus import catalog, catalog_entry
-from .errors import (FanFileError, FanValidationError, InternalCheckError,
-                     NotSimplicialError)
+from .errors import (EnumerationLimitError, FanFileError, FanValidationError,
+                     InternalCheckError, NotSimplicialError)
 from .fan import Fan, is_complete, localize
 from .fanio import (REPORT_VERSION, SharedList, dump_report, enc_basis, enc_depth,
                     enc_int, enc_vector, fan_to_dict, load_fan)
@@ -256,8 +257,6 @@ def cmd_subdivide(args) -> tuple[dict, int]:
     sigma = fan.cone(args.cone)
     basis = rel_lattice(fan).basis_rows
     policies = _policies(args.policy)
-    # Depths before the subdivision first, so the refined fan starts from
-    # the star kernels they built.
     before = {p: [filtration(fan, p).depth_of(r) for r in basis] for p in policies}
     refined = stellar_subdivide(fan, sigma, args.ray)
     records = []
@@ -375,13 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     fan_command("validate", "check a fan file against the fan axioms")
     p = fan_command("report", "full invariant report", needs_policy=True)
-    p.add_argument("--max-coeff", type=int, default=None, metavar="B",
+    p.add_argument("--max-coeff", type=_count, default=None, metavar="B",
                    help="confirm depths with the brute-force oracle at this bound")
     fan_command("relations", "relation lattice basis")
     fan_command("filtration", "filtration levels and contributing cones", needs_policy=True)
     p = fan_command("depth", "filtration depth of one relation", needs_policy=True)
     p.add_argument("--relation", type=_parse_vector, required=True)
-    p.add_argument("--max-coeff", type=int, default=None, metavar="B")
+    p.add_argument("--max-coeff", type=_count, default=None, metavar="B")
     p = fan_command("decompose", "split a relation into star-supported pieces")
     p.add_argument("--relation", type=_parse_vector, default=None)
     p = fan_command("localize", "quotient fan and localized relations at a cone")
@@ -444,22 +443,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return int(exc.code) if exc.code else 0
         else:
             report, code = _HANDLERS[args.command](args)
+        text = dump_report(report)
+        # The mirror first, so that a path that cannot be written leaves no
+        # report on stdout; then the refined fan of subdivide --out, so that
+        # a failed mirror leaves no fan file either.
+        files = [(getattr(args, "json_path", None), text)]
+        if getattr(args, "out", None):
+            files.append((args.out, dump_report(report["after_fan"])))
     except FanFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FanValidationError, ValueError, KeyError) as exc:
+    except (FanValidationError, EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    text = dump_report(report)
-    # The mirror first, so that a path that cannot be written leaves no
-    # report on stdout; then the refined fan of subdivide --out, so that
-    # a failed mirror leaves no fan file either.
-    files = [(getattr(args, "json_path", None), text)]
-    if getattr(args, "out", None):
-        files.append((args.out, dump_report(report["after_fan"])))
+    except Exception as exc:  # a bug: one line, no traceback, no report
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
     for path, content in files:
         if path:
             try:

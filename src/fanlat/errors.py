@@ -2,8 +2,9 @@
 
 The CLI maps these onto exit codes: semantic failures (invalid fan,
 bad relation, precondition violations, a relation with no local
-decomposition) exit 1, file/schema problems exit 2, internal invariant
-breaches exit 3.
+decomposition, a brute-force check too large to run) exit 1,
+file/schema problems exit 2, internal invariant breaches and any
+exception that is not a package error exit 3.
 """
 
 
@@ -29,6 +30,10 @@ class NotARelationError(FanValidationError):
 
 class NotLocallyGeneratedError(FanValidationError):
     """A relation outside inclusive level n-1: it has no local decomposition."""
+
+
+class EnumerationLimitError(FanlatError):
+    """A brute-force membership search would try more combinations than its limit."""
 
 
 class FanFileError(FanlatError):

@@ -88,13 +88,12 @@ class Fan:
     each codimension per support policy as ray bitmasks (read by
     FiltrationProfile.depth_of to certify a depth), the factored
     ray-star system that local_decompose solves
-    against, and, for each cone that stellar_subdivide refined, the part
-    of that subdivision that does not depend on the new ray (the refined
-    face map and the padded star kernels). A new fan starts with an
-    empty cache, except that build_fan stores the determinants of its
-    simplicial check, and a stellar subdivision is seeded with every
-    star kernel of its parent, padded with a zero for the new ray, and
-    with nothing else.
+    against, and, for each cone that stellar_subdivide refined, the face
+    map of that subdivision, which does not depend on the new ray. A
+    new fan starts with an empty cache, except that build_fan stores the
+    determinants of its simplicial check. A stellar subdivision starts
+    empty too: it takes its parent's face map for the subdivided cone
+    and no cache entry.
     """
 
     __slots__ = ("rank", "rays", "simplicial", "name", "asserted_complete",

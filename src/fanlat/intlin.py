@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .errors import EnumerationLimitError
 from .qsolve import _echelon
 
 
@@ -473,7 +474,9 @@ def member_by_enumeration(v: Sequence[int], generators: Sequence[Sequence[int]],
 
     Exhaustive over the (deduplicated) generator list, so a True answer
     is a certificate; a False answer only rules out small coefficients.
-    Used by the CLI's oracle mode to cross-check member().
+    Used by the CLI's oracle mode to cross-check member(). Raises
+    EnumerationLimitError when the search would try more than
+    max_combos coefficient vectors.
     """
     from itertools import product
 
@@ -485,7 +488,7 @@ def member_by_enumeration(v: Sequence[int], generators: Sequence[Sequence[int]],
     if not gens:
         return not any(v)
     if (2 * bound + 1) ** len(gens) > max_combos:
-        raise ValueError("enumeration space too large for the brute-force check")
+        raise EnumerationLimitError("enumeration space too large for the brute-force check")
     width = len(gens[0])
     for coeffs in product(range(-bound, bound + 1), repeat=len(gens)):
         if all(sum(c * g[j] for c, g in zip(coeffs, gens)) == v[j] for j in range(width)):

@@ -17,10 +17,9 @@ rays whose kernel has rank 0 or 1 gets that kernel from one
 fraction-free elimination of its rays; every other support takes the
 Hermite elimination of integer_kernel. The rank of a star kernel needs
 no kernel: it is the support size minus the rank of its rays
-(_star_kernel_rank), one fraction-free elimination. Because
-a kernel is keyed by its support, a stellar subdivision starts from
-every kernel its parent cached, padded with a zero for the new ray
-(_padded_kernels).
+(_star_kernel_rank), one fraction-free elimination. Kernels are
+cached per fan only: a stellar subdivision is a new fan and builds its
+own.
 """
 
 from __future__ import annotations
@@ -164,29 +163,6 @@ def _kernel_of_corank_one(columns: Sequence[Sequence[int]], n: int) -> Optional[
     if next(filter(None, vec)) < 0:
         g = -g
     return [tuple(x // g for x in vec)]
-
-
-def _pad_rel_lattice(rel: RelLattice) -> RelLattice:
-    """The same relations over one more ray, placed last with coefficient zero.
-
-    A trailing zero column keeps a canonical basis canonical.
-    """
-    m = len(rel.ray_labels) + 1
-    return RelLattice(ray_labels=tuple(range(m)), sublattice=Sublattice._from_canonical(
-        m, [row + (0,) for row in rel.basis_rows]))
-
-
-def _padded_kernels(entries) -> dict:
-    """Every star kernel among a parent's cache entries, padded for a stellar subdivision.
-
-    entries are (key, value) items of the parent's cache. A star kernel
-    depends only on its support, whose rays keep their indices in the
-    refinement, so there it is the parent's padded with a zero for the
-    new ray, which is last. The result is keyed as the parent's entries
-    and does not depend on the new ray or on the subdivided cone.
-    """
-    return {key: _pad_rel_lattice(value) for key, value in entries
-            if isinstance(key, tuple) and key[0] == "kernel"}
 
 
 def rel_lattice_star(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> RelLattice:

@@ -19,7 +19,7 @@ from .errors import FanValidationError, NotARelationError, NotCompleteError, Not
 from .fan import ConeRef, Fan, is_complete, primitive, simplicial_faces
 from .filtration import filtration
 from .intlin import IntMatrix, member
-from .lattices import SupportPolicy, _padded_kernels, rel_lattice
+from .lattices import SupportPolicy, rel_lattice
 from .qsolve import solve_unique
 
 log = logging.getLogger(__name__)
@@ -68,16 +68,13 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
     built straight from its simplicial faces (the new ray is primitive,
     and each new cone stays simplicial because w has a nonzero
     coefficient on the ray it replaces) and carries over the input's
-    validation level and warnings. Its cache starts with every star
-    kernel the input cached: a kernel is keyed by its support, whose
-    rays keep their indices, so it stays valid padded with a zero for
-    w, which is the last ray. Stars and star sets it builds afresh.
+    validation level and warnings. Like any new fan it starts with an
+    empty cache.
 
     The refined face map depends on sigma and not on w. It is worked out
     once per sigma and cached on the input fan under ("subdivision",
-    sigma's ray indices), with the padded kernels; every refined fan
-    gets its own copy of the padded kernels, and nothing a refined fan
-    computes is written back.
+    sigma's ray indices); that face map is all a refined fan takes from
+    the input, and nothing a refined fan computes is written back.
     """
     if not fan.simplicial:
         raise NotSimplicialError("stellar subdivision requires a simplicial fan")
@@ -96,50 +93,27 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
     if solution is None or any(c <= 0 for c in solution[0]):
         raise FanValidationError(
             f"{w} is not in the relative interior of cone {sigma.ray_indices}")
-    skeleton = fan._cached(("subdivision", sigma.ray_indices),
-                           lambda: _SubdivisionSkeleton(fan, sigma))
-    refined = Fan(fan.rank, fan.rays + (w,), skeleton.faces, True,
-                  name=f"{fan.name}/stellar" if fan.name else None,
-                  asserted_complete=fan.asserted_complete, validation=fan.validation,
-                  warnings=fan.warnings)
-    refined._memo.update(skeleton.seeds(fan))
-    return refined
+    faces = fan._cached(("subdivision", sigma.ray_indices),
+                        lambda: _refined_faces(fan, sigma))
+    return Fan(fan.rank, fan.rays + (w,), faces, True,
+               name=f"{fan.name}/stellar" if fan.name else None,
+               asserted_complete=fan.asserted_complete, validation=fan.validation,
+               warnings=fan.warnings)
 
 
-class _SubdivisionSkeleton:
-    """The part of a stellar subdivision at sigma that does not depend on the new ray.
-
-    faces is the face map of the refined fan, whose new ray is index
-    len(fan.rays). seeds(fan) returns every star kernel of the fan,
-    padded; it pads each cache entry of the fan once and takes in
-    entries cached after the skeleton was made the next time it is
-    asked. Every seed is exact and the seeds only grow, so two threads
-    asking at once can at worst pad an entry twice.
-    """
-
-    __slots__ = ("faces", "_seeds", "_scanned")
-
-    def __init__(self, fan: Fan, sigma: ConeRef):
-        new_index = len(fan.rays)
-        sig = set(sigma.ray_indices)
-        maximal = []
-        for mc in fan.maximal_cones:
-            mset = set(mc.ray_indices)
-            if sig <= mset:
-                for rho in sorted(sig):
-                    maximal.append(tuple(sorted((mset - {rho}) | {new_index})))
-            else:
-                maximal.append(mc.ray_indices)
-        self.faces = simplicial_faces(fan.rank, maximal)
-        self._seeds, self._scanned = {}, 0
-
-    def seeds(self, fan: Fan) -> dict:
-        """Every padded star kernel of fan, the skeleton's parent."""
-        if len(fan._memo) > self._scanned:
-            entries = list(fan._memo.items())
-            self._seeds.update(_padded_kernels(entries[self._scanned:]))
-            self._scanned = len(entries)
-        return self._seeds
+def _refined_faces(fan: Fan, sigma: ConeRef) -> dict:
+    """The face map of the subdivision of fan at sigma, whose new ray is index len(fan.rays)."""
+    new_index = len(fan.rays)
+    sig = set(sigma.ray_indices)
+    maximal = []
+    for mc in fan.maximal_cones:
+        mset = set(mc.ray_indices)
+        if sig <= mset:
+            for rho in sorted(sig):
+                maximal.append(tuple(sorted((mset - {rho}) | {new_index})))
+        else:
+            maximal.append(mc.ray_indices)
+    return simplicial_faces(fan.rank, maximal)
 
 
 def refinement_injection(before: Fan, after: Fan, r: Sequence[int]) -> tuple[int, ...]:

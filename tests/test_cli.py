@@ -201,6 +201,21 @@ class TestDepthCommand:
         assert report["results"]["inclusive"]["oracle_confirmed"] is True
         assert sorted(k for _, (_, k) in levels) == [0, 1]
 
+    @pytest.mark.parametrize("command, options", [
+        ("depth", ("--relation", "1,1,1,0,0")),
+        ("report", ()),
+    ])
+    def test_negative_max_coeff_is_a_usage_error(self, capsys, p2xp1_file, command, options):
+        code, out, err = run(capsys, command, p2xp1_file, *options, "--max-coeff", "-1")
+        assert (code, out) == (2, "")
+        assert "nonnegative" in err
+
+    def test_oversized_oracle_search_exits_1(self, capsys, p2xp1_file):
+        code, out, err = run(capsys, "depth", p2xp1_file, "--relation", "1,1,1,0,0",
+                             "--max-coeff", "10000")
+        assert (code, out) == (1, "")
+        assert err == "error: enumeration space too large for the brute-force check\n"
+
     def test_errors_come_from_the_first_policy(self, capsys, p2xp1_file, monkeypatch):
         levels = _spy(monkeypatch, "fanlat.filtration", "_build_level")
         for relation, message in (("0,0,0,0,0", "zero relation"),

@@ -3,15 +3,20 @@
 Each case is a catalog fan file with one to three random edits: a junk or
 extreme value, a deleted, repeated or reshaped ray or cone, a dropped
 key, trust or completeness claimed in the metadata, or broken JSON text.
-The seed is fixed, so the cases are the same on every run.
+The seed is fixed, so the cases are the same on every run. An exception
+that is not a package error is a bug and exits 3 with one line.
 """
 
 import copy
 import json
 import random
 
+import pytest
+
+import fanlat.cli as cli_module
+import fanlat.lattices as lattices_module
 from fanlat.cli import main
-from fanlat.corpus import catalog
+from fanlat.corpus import catalog, catalog_entry
 from fanlat.fanio import fan_to_dict
 
 SEED = 20261019
@@ -118,3 +123,26 @@ def test_mutated_fan_files_exit_with_documented_codes(tmp_path, capsys):
             seen.add(code)
     # The cases reach every documented outcome.
     assert seen == {0, 1, 2}
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("module, name, exc", [
+    (lattices_module, "integer_kernel", ValueError("ambient rank mismatch")),
+    (lattices_module, "integer_kernel", TypeError("unsupported operand")),
+    (lattices_module, "integer_kernel", KeyError("kernel")),
+    (cli_module, "dump_report", TypeError("not serializable")),
+])
+def test_internal_exceptions_exit_3_with_one_line(tmp_path, capsys, monkeypatch,
+                                                  module, name, exc):
+    path = tmp_path / "p2.json"
+    path.write_text(json.dumps(fan_to_dict(catalog_entry("p2").fan)))
+    monkeypatch.setattr(module, name, _raise(exc))
+    assert main(["relations", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"internal error: {exc!r}\n"

@@ -399,7 +399,7 @@ class TestCompletenessOracle:
         assert is_complete(parent)
         refined = refine_module.stellar_subdivide(parent, parent.cone((0, 1)), (1, 1, 0))
         image = apply_unimodular(parent, IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
-        # A subdivision is seeded with stars and star kernels only.
+        # A subdivision and a unimodular image start with an empty cache.
         assert "maximal_dets" not in refined._memo and "maximal_dets" not in image._memo
         calls = []
         real_det = fan_module.det

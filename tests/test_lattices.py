@@ -73,7 +73,7 @@ class TestRelLatticeStar:
 
 
 class TestCanonicalKernelRows:
-    """Zero-extended and padded kernels skip the HNF; their rows must already be canonical."""
+    """Zero-extended kernels skip the HNF; their rows must already be canonical."""
 
     def test_star_kernels_match_public_constructor(self):
         for entry in catalog():
@@ -85,10 +85,6 @@ class TestCanonicalKernelRows:
                 for policy in (INC, EXC):
                     lat = rel_lattice_star(fan, cone, policy).sublattice
                     assert lat == Sublattice(m, lat.basis_rows), (entry.name, cone, policy)
-                    padded = lattices_module._pad_rel_lattice(
-                        rel_lattice_star(fan, cone, policy)).sublattice
-                    rows = [row + (0,) for row in lat.basis_rows]
-                    assert padded == Sublattice(m + 1, rows), (entry.name, cone, policy)
 
     def test_internal_kernels_match_public_constructor(self):
         rays = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
