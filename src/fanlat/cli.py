@@ -4,6 +4,11 @@ Reads fan files, prints JSON reports to stdout (optionally mirrored to
 a file via --json). Exit codes: 0 success, 1 semantic failure, 2 usage
 or parse error, 3 internal invariant breach or any other exception,
 which is a bug: it prints one line and no traceback.
+
+main is the one pipeline of the analysis commands: it loads the fan,
+writes the version, command and fan header, and merges in the body that
+the handler cmd_x(fan, args) returns. validate, which reports a fan that
+fails to load, and catalog build their whole reports.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .fanio import (REPORT_VERSION, SharedList, dump_report, enc_basis, enc_dept
 from .filtration import FiltrationProfile, check_generation, depth, filtration, local_decompose
 from .intlin import member_by_enumeration
 from .lattices import SupportPolicy, class_group, ray_lattice, rel_lattice, rel_lattice_localized
-from .refine import conjecture_scan, refinement_injection, stellar_subdivide
+from .refine import compare_depths, conjecture_scan, stellar_subdivide
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -110,15 +115,11 @@ def cmd_validate(args) -> tuple[dict, int]:
     return report, 0
 
 
-def cmd_report(args) -> tuple[dict, int]:
-    fan = load_fan(args.path, trust=args.trust)
+def cmd_report(fan: Fan, args) -> dict:
     rl = ray_lattice(fan)
     rel = rel_lattice(fan)
     basis = rel.basis_rows
     report = {
-        "version": REPORT_VERSION,
-        "command": "report",
-        "fan": _fan_summary(fan),
         "complete": _completeness(fan),
         "ray_lattice": {
             "rank": rl.rank,
@@ -153,26 +154,19 @@ def cmd_report(args) -> tuple[dict, int]:
                              "exclusive drops the cone's own rays"),
                 })
         report["discrepancies"] = discrepancies
-    return report, 0
+    return report
 
 
-def cmd_relations(args) -> tuple[dict, int]:
-    fan = load_fan(args.path, trust=args.trust)
+def cmd_relations(fan: Fan, args) -> dict:
     rel = rel_lattice(fan)
-    return {
-        "version": REPORT_VERSION,
-        "command": "relations",
-        "fan": _fan_summary(fan),
-        "relation_lattice": {"rank": rel.rank, "basis": enc_basis(rel.basis_rows)},
-    }, 0
+    return {"relation_lattice": {"rank": rel.rank, "basis": enc_basis(rel.basis_rows)}}
 
 
-def cmd_filtration(args) -> tuple[dict, int]:
-    fan = load_fan(args.path, trust=args.trust)
-    out = {"version": REPORT_VERSION, "command": "filtration", "fan": _fan_summary(fan),
-           "filtration": {}}
+def cmd_filtration(fan: Fan, args) -> dict:
+    out = {"filtration": {}}
     for policy in _policies(args.policy):
         profile = filtration(fan, policy)
+        contributing = profile.contributing
         levels = []
         for k, level in enumerate(profile.levels):
             levels.append({
@@ -181,31 +175,29 @@ def cmd_filtration(args) -> tuple[dict, int]:
                 "basis": enc_basis(level.basis_rows),
                 "contributing": [
                     {"cone": list(cone.ray_indices), "rank": rank}
-                    for cone, rank in profile.contributing[k]
+                    for cone, rank in contributing[k]
                 ],
             })
         out["filtration"][policy.value] = {
             "level_ranks": list(profile.level_ranks),
             "levels": levels,
         }
-    return out, 0
+    return out
 
 
-def cmd_depth(args) -> tuple[dict, int]:
-    fan = load_fan(args.path, trust=args.trust)
-    out = {"version": REPORT_VERSION, "command": "depth", "fan": _fan_summary(fan),
-           "relation": enc_vector(args.relation), "results": {}}
+def cmd_depth(fan: Fan, args) -> dict:
+    results = {}
     for policy in _policies(args.policy):
         # depth() raises on the zero vector and on non-relations.
         d = depth(fan, args.relation, policy)
-        out["results"][policy.value] = _depth_entry(
+        results[policy.value] = _depth_entry(
             filtration(fan, policy), args.relation, d, args.max_coeff)
-    return out, 0
+    return {"relation": enc_vector(args.relation), "results": results}
 
 
-def cmd_decompose(args) -> tuple[dict, int]:
-    fan = load_fan(args.path, trust=args.trust)
-    relations = [args.relation] if args.relation else list(rel_lattice(fan).basis_rows)
+def cmd_decompose(fan: Fan, args) -> dict:
+    relations = ([args.relation] if args.relation is not None
+                 else list(rel_lattice(fan).basis_rows))
     ray_mat = fan.ray_matrix()
     results = []
     for r in relations:
@@ -223,19 +215,14 @@ def cmd_decompose(args) -> tuple[dict, int]:
                     not any(ray_mat.mul_vector(vec)) for vec in dec.pieces.values()),
             },
         })
-    return {"version": REPORT_VERSION, "command": "decompose",
-            "fan": _fan_summary(fan), "results": results}, 0
+    return {"results": results}
 
 
-def cmd_localize(args) -> tuple[dict, int]:
-    fan = load_fan(args.path, trust=args.trust)
+def cmd_localize(fan: Fan, args) -> dict:
     tau = fan.cone(args.cone)
     q = localize(fan, tau)
     local = rel_lattice_localized(fan, tau)
     return {
-        "version": REPORT_VERSION,
-        "command": "localize",
-        "fan": _fan_summary(fan),
         "cone": list(tau.ray_indices),
         "quotient_rank": q.quotient_rank,
         "projection": enc_basis(q.projection.entries),
@@ -249,40 +236,33 @@ def cmd_localize(args) -> tuple[dict, int]:
             "basis": enc_basis(local.basis_rows),
             "ray_labels": list(local.ray_labels),
         },
-    }, 0
+    }
 
 
-def cmd_subdivide(args) -> tuple[dict, int]:
-    fan = load_fan(args.path, trust=args.trust)
+def cmd_subdivide(fan: Fan, args) -> dict:
+    """Per policy, the scan's depth records of one subdivision, without comparable and violation."""
     sigma = fan.cone(args.cone)
     basis = rel_lattice(fan).basis_rows
     policies = _policies(args.policy)
     before = {p: [filtration(fan, p).depth_of(r) for r in basis] for p in policies}
     refined = stellar_subdivide(fan, sigma, args.ray)
-    records = []
-    for policy in policies:
-        after = filtration(refined, policy)
-        for r, d in zip(basis, before[policy]):
-            padded = refinement_injection(fan, refined, r)
-            records.append({
-                "relation": enc_vector(r),
-                "policy": policy.value,
-                "depth_before": enc_depth(d),
-                "depth_after": enc_depth(after.depth_of(padded)),
-            })
     return {
-        "version": REPORT_VERSION,
-        "command": "subdivide",
-        "fan": _fan_summary(fan),
         "cone": list(sigma.ray_indices),
         "new_ray": enc_vector(refined.rays[-1]),
         "after_fan": fan_to_dict(refined),
-        "records": records,
-    }, 0
+        "records": [
+            {
+                "relation": enc_vector(rec.relation),
+                "policy": rec.policy.value,
+                "depth_before": enc_depth(rec.depth_before),
+                "depth_after": enc_depth(rec.depth_after),
+            }
+            for p in policies for rec in compare_depths(fan, refined, p, before[p])[1]
+        ],
+    }
 
 
-def cmd_conjecture(args) -> tuple[dict, int]:
-    fan = load_fan(args.path, trust=args.trust)
+def cmd_conjecture(fan: Fan, args) -> dict:
     policy = SupportPolicy(args.policy)
     traces = conjecture_scan(fan, policy, args.trials, args.seed)
     out_traces = []
@@ -311,46 +291,35 @@ def cmd_conjecture(args) -> tuple[dict, int]:
             "records": records,
         })
     return {
-        "version": REPORT_VERSION,
-        "command": "conjecture",
-        "fan": _fan_summary(fan),
         "policy": policy.value,
         "trials": args.trials,
         "seed": args.seed,
         "completed_trials": len(traces),
         "violations": violations,
         "traces": out_traces,
-    }, 0
+    }
 
 
-def cmd_classgroup(args) -> tuple[dict, int]:
-    fan = load_fan(args.path, trust=args.trust)
+def cmd_classgroup(fan: Fan, args) -> dict:
     cg = class_group(fan)
-    return {
-        "version": REPORT_VERSION,
-        "command": "classgroup",
-        "fan": _fan_summary(fan),
-        "class_group": {"free_rank": cg.free_rank, "torsion": enc_vector(cg.torsion)},
-    }, 0
+    return {"class_group": {"free_rank": cg.free_rank, "torsion": enc_vector(cg.torsion)}}
 
 
-def cmd_catalog(args, parser) -> tuple[dict, int]:
+def cmd_catalog(args, parser) -> dict:
+    """The entry list, or with the export action (argparse allows no other) one entry's fan."""
     if args.action is None:
         return {
             "version": REPORT_VERSION,
             "command": "catalog",
             "entries": [e.name for e in catalog()],
-        }, 0
-    if args.action == "export":
-        if not args.name:
-            parser.error("catalog export requires an entry name")
-        try:
-            entry = catalog_entry(args.name)
-        except KeyError as exc:
-            raise FanFileError(str(exc)) from exc
-        return fan_to_dict(entry.fan), 0
-    parser.error(f"unknown catalog action {args.action!r}")
-    raise AssertionError  # parser.error raises SystemExit
+        }
+    if not args.name:
+        parser.error("catalog export requires an entry name")
+    try:
+        entry = catalog_entry(args.name)
+    except KeyError as exc:
+        raise FanFileError(str(exc)) from exc
+    return fan_to_dict(entry.fan)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS = {
-    "validate": cmd_validate,
     "report": cmd_report,
     "relations": cmd_relations,
     "filtration": cmd_filtration,
@@ -435,19 +403,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "conjecture" and args.policy == "both":
         print("conjecture scans compare depths within one policy; pick one", file=sys.stderr)
         return 2
+    code = 0
     try:
         if args.command == "catalog":
             try:
-                report, code = cmd_catalog(args, parser)
+                report = cmd_catalog(args, parser)
             except SystemExit as exc:
                 return int(exc.code) if exc.code else 0
+        elif args.command == "validate":
+            report, code = cmd_validate(args)
         else:
-            report, code = _HANDLERS[args.command](args)
+            fan = load_fan(args.path, trust=args.trust)
+            report = {"version": REPORT_VERSION, "command": args.command,
+                      "fan": _fan_summary(fan), **_HANDLERS[args.command](fan, args)}
         text = dump_report(report)
         # The mirror first, so that a path that cannot be written leaves no
         # report on stdout; then the refined fan of subdivide --out, so that
         # a failed mirror leaves no fan file either.
-        files = [(getattr(args, "json_path", None), text)]
+        files = [(args.json_path, text)]
         if getattr(args, "out", None):
             files.append((args.out, dump_report(report["after_fan"])))
     except FanFileError as exc:

@@ -74,22 +74,20 @@ class Fan:
     """Validated rational fan: primitive rays plus a face-closed cone set.
 
     Nothing changes rays or the cone set after construction (stellar
-    subdivision and unimodular images build new fans), so every
-    invariant derived from them is computed once and kept in the fan's
+    subdivision and unimodular images build new fans), so the
+    invariants derived from them are computed once and kept in the fan's
     private cache: the sorted and maximal cones, the ray matrix, the
     determinant of the sorted rays of each full-dimensional maximal
     cone (read by is_complete), completeness, the relation lattice, the
     star sets of each codimension (star_sets, the one source of star
     rays), star kernels (keyed by their sorted support, so cones and
     policies with one support share one kernel), filtration levels
-    (which stop at the cached relation lattice), the contributing cones
-    of each level with their star-kernel ranks (kept apart from the
-    levels and read without kernels), the distinct star supports of
-    each codimension per support policy as ray bitmasks (read by
-    FiltrationProfile.depth_of to certify a depth), the factored
-    ray-star system that local_decompose solves
-    against, and, for each cone that stellar_subdivide refined, the face
-    map of that subdivision, which does not depend on the new ray. A
+    (which stop at the cached relation lattice), the distinct star
+    supports of each codimension per support policy as ray bitmasks
+    (read by FiltrationProfile.depth_of to certify a depth), the
+    factored ray-star system that local_decompose solves against, and,
+    for each cone that stellar_subdivide refined, the face map of that
+    subdivision, which does not depend on the new ray. A
     new fan starts with an empty cache, except that build_fan stores the
     determinants of its simplicial check. A stellar subdivision starts
     empty too: it takes its parent's face map for the subdivided cone

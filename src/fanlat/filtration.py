@@ -55,8 +55,7 @@ from .fan import ConeRef, Fan, is_complete, star_sets
 from .intlin import (ColumnFactor, IntMatrix, Sublattice, _hermite, factor_columns,
                      lattice_equal, member, solve_factored)
 from .lattices import (RelLattice, SupportPolicy, _cached_rel_lattice, _policy_support,
-                       _star_kernel, _star_kernel_rank, rel_lattice, rel_lattice_star,
-                       star_support)
+                       _star_kernel, _star_kernel_rank, rel_lattice)
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,8 @@ class FiltrationProfile:
     """Filtration levels 0..n of a fan under one policy, built on demand.
 
     contributing[k] lists (cone, star-kernel rank) for the cones of
-    codimension exactly k whose star kernel is nonzero; it is cached on
-    the fan apart from the levels, and builds no kernel. Each level is
+    codimension exactly k whose star kernel is nonzero; it is not
+    cached, and builds no kernel. Each level is
     built on first use from the level below it and cached on the fan:
     levels and level_ranks compute the relation lattice and then build
     every level, each one above the first that equals the relation
@@ -186,21 +185,19 @@ def _build_level(fan: Fan, policy: SupportPolicy, k: int) -> Sublattice:
 
 
 def _contributing(fan: Fan, policy: SupportPolicy, k: int) -> tuple[tuple[ConeRef, int], ...]:
-    """(cone, star-kernel rank) for the codim-k cones with a nonzero star kernel, cached.
+    """(cone, star-kernel rank) for the codim-k cones with a nonzero star kernel.
 
     Each distinct support's rank is read once, from the rank of its rays
     (_star_kernel_rank), so no kernel is built.
     """
-    def build():
-        ranks, found = {}, []
-        for cone, support in _codim_supports(fan, policy, k):
-            rank = ranks.get(support)
-            if rank is None:
-                rank = ranks[support] = _star_kernel_rank(fan, support)
-            if rank:
-                found.append((cone, rank))
-        return tuple(found)
-    return fan._cached(("contributing", policy, k), build)
+    ranks, found = {}, []
+    for cone, support in _codim_supports(fan, policy, k):
+        rank = ranks.get(support)
+        if rank is None:
+            rank = ranks[support] = _star_kernel_rank(fan, support)
+        if rank:
+            found.append((cone, rank))
+    return tuple(found)
 
 
 def _codim_supports(fan: Fan, policy: SupportPolicy, k: int) -> list:
@@ -223,20 +220,23 @@ def _star_masks(fan: Fan, policy: SupportPolicy, k: int) -> tuple[int, ...]:
         for key, rays in star_sets(fan, k).items())))
 
 
-def _require_relation(fan: Fan, r: Sequence[int], rel: RelLattice) -> tuple[int, ...]:
+def _require_relation(fan: Fan, r: Sequence[int]) -> tuple[int, ...]:
+    """r as a tuple, or NotARelationError if it is not an integer relation of the fan.
+
+    L_rel is the whole integer kernel of the ray matrix, so the test builds no lattice.
+    """
     r = tuple(r)
     if len(r) != len(fan.rays):
         raise NotARelationError(
             f"vector length {len(r)} does not match {len(fan.rays)} rays")
-    if not member(r, rel.sublattice):
+    if not all(isinstance(x, int) for x in r) or any(fan.ray_matrix().mul_vector(r)):
         raise NotARelationError(f"{r} is not a relation of this fan")
     return r
 
 
 def depth(fan: Fan, r: Sequence[int], policy: SupportPolicy) -> Optional[int]:
     """Smallest filtration level containing r; None if unreachable."""
-    rel = rel_lattice(fan)
-    r = _require_relation(fan, r, rel)
+    r = _require_relation(fan, r)
     if not any(r):
         raise NotARelationError("depth of the zero relation is undefined")
     return filtration(fan, policy).depth_of(r)
@@ -282,18 +282,18 @@ def local_decompose(fan: Fan, r: Sequence[int]) -> Decomposition:
     """
     if not is_complete(fan):
         raise NotCompleteError("local decomposition requires a complete fan")
-    r = _require_relation(fan, r, rel_lattice(fan))
+    r = _require_relation(fan, r)
     if not any(r):
         return Decomposition(relation=r, pieces={})
 
     m = len(fan.rays)
-    stars = [frozenset(star_support(fan, fan.cone((i,)), SupportPolicy.INCLUSIVE))
-             for i in range(m)]
+    # A ray is a codim-(n-1) cone, so its inclusive star support is its star set.
+    stars = star_sets(fan, fan.rank - 1)
     support = [i for i in range(m) if r[i]]
 
     # A relation inside a single star is already a valid one-piece answer.
     for i in range(m):
-        if all(j in stars[i] for j in support):
+        if all(j in stars[(i,)] for j in support):
             return Decomposition(relation=r, pieces={i: r})
 
     owners, columns, factor = fan._cached("ray_star_system", lambda: _ray_star_system(fan))
@@ -316,8 +316,9 @@ def local_decompose(fan: Fan, r: Sequence[int]) -> Decomposition:
 def _ray_star_system(fan: Fan) -> tuple[list[int], list[tuple[int, ...]], ColumnFactor]:
     """Every ray's inclusive star-kernel basis as columns, with owners, factored once."""
     owners, columns = [], []
+    stars = star_sets(fan, fan.rank - 1)
     for i in range(len(fan.rays)):
-        local = rel_lattice_star(fan, fan.cone((i,)), SupportPolicy.INCLUSIVE)
+        local = _star_kernel(fan, stars[(i,)])
         owners.extend([i] * local.rank)
         columns.extend(local.basis_rows)
     return owners, columns, factor_columns(IntMatrix.from_columns(columns, height=len(fan.rays)))
@@ -328,7 +329,7 @@ def _verify_decomposition(r, pieces, stars, ray_mat) -> None:
     for i, piece in pieces.items():
         if any(ray_mat.mul_vector(piece)):
             raise InternalCheckError(f"piece at ray {i} is not a relation")
-        if any(piece[j] and j not in stars[i] for j in range(len(piece))):
+        if any(piece[j] and j not in stars[(i,)] for j in range(len(piece))):
             raise InternalCheckError(f"piece at ray {i} leaves its star support")
         total = [a + b for a, b in zip(total, piece)]
     if tuple(total) != tuple(r):

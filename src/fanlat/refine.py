@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 from .errors import FanValidationError, NotARelationError, NotCompleteError, NotSimplicialError
 from .fan import ConeRef, Fan, is_complete, primitive, simplicial_faces
-from .filtration import filtration
-from .intlin import IntMatrix, member
+from .filtration import _require_relation, filtration
+from .intlin import IntMatrix
 from .lattices import SupportPolicy, rel_lattice
 from .qsolve import solve_unique
 
@@ -124,9 +124,7 @@ def refinement_injection(before: Fan, after: Fan, r: Sequence[int]) -> tuple[int
     matrix exactly.
     """
     positions, ray_mat = _injection_map(before, after)
-    r = tuple(r)
-    _require_coarse_relation(before, r)
-    return _pad_relation(positions, ray_mat, r)
+    return _pad_relation(positions, ray_mat, _require_relation(before, r))
 
 
 def _injection_map(before: Fan, after: Fan) -> tuple[tuple[int, ...], IntMatrix]:
@@ -138,11 +136,6 @@ def _injection_map(before: Fan, after: Fan) -> tuple[tuple[int, ...], IntMatrix]
     return tuple(after_pos[v] for v in before.rays), after.ray_matrix()
 
 
-def _require_coarse_relation(before: Fan, r: tuple[int, ...]) -> None:
-    if not member(r, rel_lattice(before).sublattice):
-        raise NotARelationError(f"{r} is not a relation of the coarse fan")
-
-
 def _pad_relation(positions: Sequence[int], ray_mat: IntMatrix,
                   r: tuple[int, ...]) -> tuple[int, ...]:
     padded = [0] * ray_mat.cols
@@ -151,6 +144,29 @@ def _pad_relation(positions: Sequence[int], ray_mat: IntMatrix,
     if any(ray_mat.mul_vector(padded)):
         raise NotARelationError("padded vector fails to annihilate the refined rays")
     return tuple(padded)
+
+
+def compare_depths(before: Fan, after: Fan, policy: SupportPolicy,
+                   depths_before: Sequence[Optional[int]]
+                   ) -> tuple[tuple[int, ...], tuple[DepthRecord, ...]]:
+    """The refined position of each coarse ray, and a DepthRecord per basis relation.
+
+    A record sets depths_before[j], the depth of `before`'s j-th basis
+    relation, against the depth of its padded image in `after`. An
+    unreachable before-depth is incomparable, never a violation; a
+    finite depth that becomes unreachable is one.
+    """
+    ray_map, ray_mat = _injection_map(before, after)
+    profile = filtration(after, policy)
+    records = []
+    for r, depth_before in zip(rel_lattice(before).basis_rows, depths_before):
+        depth_after = profile.depth_of(_pad_relation(ray_map, ray_mat, r))
+        comparable = depth_before is not None
+        records.append(DepthRecord(
+            relation=r, depth_before=depth_before, depth_after=depth_after,
+            policy=policy, comparable=comparable,
+            violation=comparable and (depth_after is None or depth_after > depth_before)))
+    return ray_map, tuple(records)
 
 
 def random_stellar_draw(fan: Fan, rng: random.Random) -> Optional[tuple[ConeRef, tuple[int, ...]]]:
@@ -179,11 +195,9 @@ def conjecture_scan(fan: Fan, policy: SupportPolicy, trials: int,
     """Seeded random subdivisions with depth monotonicity bookkeeping.
 
     Each trial independently subdivides the input fan once and compares
-    the depth of every basis relation before and after the injection.
-    Records with an unreachable before-depth are marked incomparable and
-    never count as violations; a finite depth that becomes unreachable
-    does. Deterministic for a given seed: per-trial generators are
-    seeded up front, so execution order cannot matter.
+    the depth of every basis relation before and after the injection
+    (compare_depths). Deterministic for a given seed: per-trial
+    generators are seeded up front, so execution order cannot matter.
 
     The draw space is small, so trials often repeat a draw. The first
     trial of each draw (cone, new ray) subdivides and computes the
@@ -199,7 +213,7 @@ def conjecture_scan(fan: Fan, policy: SupportPolicy, trials: int,
     trial_seeds = [master.getrandbits(64) for _ in range(trials)]
     basis = rel_lattice(fan).basis_rows
     for r in basis:  # trial-invariant: checked once, not once per trial
-        _require_coarse_relation(fan, r)
+        _require_relation(fan, r)
     profile_before = filtration(fan, policy)
     depths_before = [profile_before.depth_of(r) for r in basis]
     traces = []
@@ -219,25 +233,9 @@ def conjecture_scan(fan: Fan, policy: SupportPolicy, trials: int,
         except FanValidationError as exc:
             log.warning("trial %d: subdivision rejected (%s); skipped", t, exc)
             continue
-        profile_after = filtration(refined, policy)
-        ray_map, ray_mat = _injection_map(fan, refined)
-        records = []
-        for r, before_depth in zip(basis, depths_before):
-            padded = _pad_relation(ray_map, ray_mat, r)
-            after_depth = profile_after.depth_of(padded)
-            comparable = before_depth is not None
-            if not comparable:
-                violation = False
-            elif after_depth is None:
-                violation = True
-            else:
-                violation = after_depth > before_depth
-            records.append(DepthRecord(
-                relation=tuple(r), depth_before=before_depth,
-                depth_after=after_depth, policy=policy,
-                comparable=comparable, violation=violation))
+        ray_map, records = compare_depths(fan, refined, policy, depths_before)
         trace = first_of_draw[cone.ray_indices, w] = SubdivisionTrace(
             trial_index=t, before=fan, after=refined, new_ray=w,
-            subdivided_cone=cone, ray_map=ray_map, records=tuple(records))
+            subdivided_cone=cone, ray_map=ray_map, records=records)
         traces.append(trace)
     return traces

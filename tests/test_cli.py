@@ -255,6 +255,18 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", str(path), "--relation", "0,0")
         assert code == 1
 
+    @pytest.mark.parametrize("name, message", [
+        ("p2", "vector length 0 does not match 3 rays"),
+        ("halfplane2", "local decomposition requires a complete fan"),
+    ])
+    def test_empty_relation_is_a_relation_argument(self, capsys, tmp_path, name, message):
+        # An empty --relation is the length-0 vector, not a request for the basis.
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(fan_to_dict(catalog_entry(name).fan)))
+        code, out, err = run(capsys, "decompose", str(path), "--relation", "")
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
     def test_p2_refinement_decomposes(self, capsys, p2_refined_file):
         code, report, _ = run_json(capsys, "decompose", p2_refined_file,
                                    "--relation", "1,0,0,0,0,0,1")

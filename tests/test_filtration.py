@@ -413,6 +413,7 @@ class TestLevelsStopAtTheRelationLattice:
         fan = _fresh(catalog_entry("p2xp1").fan)
         for policy in (INC, EXC):
             filtration(fan, policy).depth_of((1, 1, 1, 0, 0))
+            depth(fan, (0, 0, 0, 1, 1), policy)
         assert _cached_rel_lattice(fan) is None
         assert filtration(fan, INC).levels == filtration(_fresh(fan), INC).levels
         assert _cached_rel_lattice(fan) == rel_lattice(fan)

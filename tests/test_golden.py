@@ -101,6 +101,20 @@ RUNS = {
         (0, "c5a7b1e94a7e7f98eaf851b53aa50f958722b82cdddf2923a3a3c61e155477b0"),
     ("classgroup", "sigma_c"):
         (0, "336acefe036ed5a7b8245422cef288ccdc0ec00dd39d9f9a9af956e3fe633007"),
+    ("relations", "p2"):
+        (0, "bff8cdaa684da894d9716f9b70ebbba8b40b2ea654ebd226011eda91c33a7674"),
+    ("relations", "p1xp1"):
+        (0, "ac85ed9051008ec5f3b69c2c0bee11f1b8c3976b158255fe86718d6eb5851ed7"),
+    ("relations", "p3"):
+        (0, "627fee01e7d126e0c3db8aeb3525e6eb979bd32e0c398880de95cd39b50dc299"),
+    ("relations", "p2xp1"):
+        (0, "bcbb8dcc288f0a416b352bef7012f133de446919bf415152a6248cc052c8df58"),
+    ("relations", "blowup_p2"):
+        (0, "e75ffe63514528bbae77ab159f70978a5a5cb6051c0e672c15540edd96f7f9e4"),
+    ("relations", "halfplane2"):
+        (0, "9fc7d44104bc349cd65a3224e771e613038f15c5f60e9f4938dfe5d37cfdffe4"),
+    ("relations", "sigma_c"):
+        (0, "b9f1b7f23b88e4e92c41c351d37e4fd2d724ceebad35ea56224d23b6ff008b2a"),
     ("validate", "p2"):
         (0, "1a2d1bd28c3e81992056dd879e273b834d6a3b5871d69a4f31f81dd9b0a5b67c"),
     ("validate", "p1xp1"):
@@ -119,7 +133,7 @@ RUNS = {
 
 
 def test_runs_cover_every_catalog_fan():
-    for command in ("decompose", "classgroup", "validate"):
+    for command in ("decompose", "classgroup", "relations", "validate"):
         assert {run[1] for run in RUNS if run[0] == command} == {e.name for e in catalog()}
 
 

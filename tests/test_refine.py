@@ -271,14 +271,14 @@ class TestRefinementInjection:
             refinement_injection(fan, refined, (1, 0, 0))
 
     def test_scan_checks_each_basis_relation_once(self, monkeypatch):
-        real = refine_module.member
+        real = refine_module._require_relation
         checked = []
 
-        def spy(v, lattice):
+        def spy(fan, v):
             checked.append(tuple(v))
-            return real(v, lattice)
+            return real(fan, v)
 
-        monkeypatch.setattr(refine_module, "member", spy)
+        monkeypatch.setattr(refine_module, "_require_relation", spy)
         fan = catalog_entry("p2xp1").fan
         traces = conjecture_scan(fan, INC, 12, 5)
         assert len(traces) == 12
