@@ -196,24 +196,22 @@ def cmd_depth(fan: Fan, args) -> dict:
 
 
 def cmd_decompose(fan: Fan, args) -> dict:
+    """One result per relation, with the pieces local_decompose returned.
+
+    The checks are the outcome of the library check: local_decompose
+    raises InternalCheckError (exit 3, no report) unless its pieces are
+    relations that sum to the relation, so a written report has both true.
+    """
     relations = ([args.relation] if args.relation is not None
                  else list(rel_lattice(fan).basis_rows))
-    ray_mat = fan.ray_matrix()
     results = []
     for r in relations:
         dec = local_decompose(fan, r)
         pieces = [{"ray": i, "vector": enc_vector(vec)} for i, vec in sorted(dec.pieces.items())]
-        total = [0] * len(fan.rays)
-        for vec in dec.pieces.values():
-            total = [a + b for a, b in zip(total, vec)]
         results.append({
             "relation": enc_vector(r),
             "pieces": pieces,
-            "checks": {
-                "sum_matches": tuple(total) == tuple(dec.relation),
-                "pieces_are_relations": all(
-                    not any(ray_mat.mul_vector(vec)) for vec in dec.pieces.values()),
-            },
+            "checks": {"sum_matches": True, "pieces_are_relations": True},
         })
     return {"results": results}
 

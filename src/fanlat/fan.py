@@ -70,28 +70,48 @@ class QuotientFan:
     warnings: tuple[str, ...]
 
 
+class FaceMap(dict):
+    """A fan's cones by sorted ray indices, with the cache of what they alone determine.
+
+    The sorted and maximal cones, the star sets of each codimension, the
+    star supports of each codimension per support policy, the cones a
+    random stellar draw picks from and the face map of each stellar
+    subdivision depend on the cones and not on the ray vectors. They are
+    kept here, so every fan built on one face map shares them: the
+    stellar subdivisions of one cone, whatever their new ray, and the
+    unimodular images of a fan. Nothing changes a face map once a fan
+    holds it.
+    """
+
+    __slots__ = ("memo",)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.memo = {}
+
+
 class Fan:
     """Validated rational fan: primitive rays plus a face-closed cone set.
 
     Nothing changes rays or the cone set after construction (stellar
     subdivision and unimodular images build new fans), so the
-    invariants derived from them are computed once and kept in the fan's
-    private cache: the sorted and maximal cones, the ray matrix, the
-    determinant of the sorted rays of each full-dimensional maximal
-    cone (read by is_complete), completeness, the relation lattice, the
-    star sets of each codimension (star_sets, the one source of star
-    rays), star kernels (keyed by their sorted support, so cones and
-    policies with one support share one kernel), filtration levels
-    (which stop at the cached relation lattice), the distinct star
-    supports of each codimension per support policy as ray bitmasks
-    (read by FiltrationProfile.depth_of to certify a depth), the
-    factored ray-star system that local_decompose solves against, and,
-    for each cone that stellar_subdivide refined, the face map of that
-    subdivision, which does not depend on the new ray. A
-    new fan starts with an empty cache, except that build_fan stores the
-    determinants of its simplicial check. A stellar subdivision starts
-    empty too: it takes its parent's face map for the subdivided cone
-    and no cache entry.
+    invariants derived from them are computed once and kept in one of
+    two caches. What the cones alone determine (the sorted and maximal
+    cones, the star sets of each codimension, the star supports per
+    policy as ray bitmasks, the draw candidates and the face map of each
+    subdivided cone) lives on the fan's FaceMap and is shared by every
+    fan built on it. What also reads the rays lives in the fan's private
+    cache: the ray matrix, the determinant of the sorted rays of each
+    full-dimensional maximal cone (read by is_complete), completeness,
+    the relation lattice, star kernels (keyed by their sorted support,
+    so cones and policies with one support share one kernel), filtration
+    levels (which stop at the cached relation lattice) and the factored
+    ray-star system that local_decompose solves against. A new fan's
+    private cache starts empty, except that build_fan stores the
+    determinants of its simplicial check. A stellar subdivision's starts
+    empty too; it is built on the one face map of its subdivided cone,
+    which its siblings at that cone share, and a unimodular image on its
+    fan's face map.
     """
 
     __slots__ = ("rank", "rays", "simplicial", "name", "asserted_complete",
@@ -101,7 +121,7 @@ class Fan:
                  asserted_complete=None, validation="full", warnings=()):
         self.rank = rank
         self.rays = tuple(tuple(v) for v in rays)
-        self._cones = dict(cones)
+        self._cones = cones if isinstance(cones, FaceMap) else FaceMap(cones)
         self.simplicial = simplicial
         self.name = name
         self.asserted_complete = asserted_complete
@@ -117,14 +137,23 @@ class Fan:
             value = self._memo[key] = build()
             return value
 
+    def _face_cached(self, key, build):
+        """The value cached on the face map under key, built by build() on first use."""
+        memo = self._cones.memo
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = build()
+            return value
+
     @property
     def cones(self) -> tuple[ConeRef, ...]:
-        return self._cached("cones", lambda: tuple(
+        return self._face_cached("cones", lambda: tuple(
             sorted(self._cones.values(), key=ConeRef.sort_key)))
 
     @property
     def maximal_cones(self) -> tuple[ConeRef, ...]:
-        return self._cached("maximal", self._find_maximal)
+        return self._face_cached("maximal", self._find_maximal)
 
     def _find_maximal(self) -> tuple[ConeRef, ...]:
         # From the most rays down, a cone is maximal iff no maximal cone
@@ -180,9 +209,9 @@ class Fan:
                 f"{len(self._cones)} cones)")
 
 
-def simplicial_faces(rank: int, maximal_cones: Sequence[tuple[int, ...]]) -> dict:
+def simplicial_faces(rank: int, maximal_cones: Sequence[tuple[int, ...]]) -> FaceMap:
     """Face map of a simplicial fan: every subset of a maximal cone, by sorted key."""
-    cone_map = {(): ConeRef((), 0, rank)}
+    cone_map = FaceMap({(): ConeRef((), 0, rank)})
     for c in maximal_cones:
         for size in range(1, len(c) + 1):
             for face in combinations(c, size):
@@ -269,7 +298,7 @@ def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
     if cones is None or not trust:
         raise FanValidationError(
             "non-simplicial input requires an explicit full cone list and trust=True")
-    cone_map = {(): ConeRef((), 0, rank)}
+    cone_map = FaceMap({(): ConeRef((), 0, rank)})
     for c in cones:
         key = tuple(sorted(c))
         for i in key:
@@ -322,9 +351,9 @@ def star_sets(fan: Fan, k: int) -> dict:
     star set of a face is the union of the maximal cones holding it, and
     one pass over the maximal cones adds each one's rays to each of its
     faces with rank - k rays. Any other fan reads each cone's star. The
-    table is cached on the fan per k.
+    table is cached on the fan's face map per k.
     """
-    return fan._cached(("star_sets", k), lambda: _star_sets(fan, k))
+    return fan._face_cached(("star_sets", k), lambda: _star_sets(fan, k))
 
 
 def _star_sets(fan: Fan, k: int) -> dict:

@@ -73,9 +73,10 @@ class FiltrationProfile:
     never computes the relation lattice. Before it builds a level
     k >= 1 that is not cached yet, depth_of tests the relation's support
     against the distinct star supports of the codim-k cones (int
-    bitmasks, cached on the fan per policy and k); a fit answers k for a
-    relation and None for a vector that is not one, and level k is not
-    built. Levels that are cached already are read by membership alone.
+    bitmasks, cached on the fan's face map per policy and k); a fit
+    answers k for a relation and None for a vector that is not one, and
+    level k is not built. Levels that are cached already are read by
+    membership alone.
     """
 
     fan: Fan
@@ -214,8 +215,11 @@ def _codim_supports(fan: Fan, policy: SupportPolicy, k: int) -> list:
 
 
 def _star_masks(fan: Fan, policy: SupportPolicy, k: int) -> tuple[int, ...]:
-    """The distinct star supports of the nonzero codim-k cones as ray bitmasks, cached."""
-    return fan._cached(("star_masks", policy, k), lambda: tuple(dict.fromkeys(
+    """The distinct star supports of the nonzero codim-k cones as ray bitmasks.
+
+    They depend on the cones alone, so they are cached on the fan's face map.
+    """
+    return fan._face_cached(("star_masks", policy, k), lambda: tuple(dict.fromkeys(
         sum(1 << i for i in _policy_support(rays, key, policy))
         for key, rays in star_sets(fan, k).items())))
 

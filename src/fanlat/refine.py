@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import FanValidationError, NotARelationError, NotCompleteError, NotSimplicialError
-from .fan import ConeRef, Fan, is_complete, primitive, simplicial_faces
+from .fan import ConeRef, FaceMap, Fan, is_complete, primitive, simplicial_faces
 from .filtration import _require_relation, filtration
 from .intlin import IntMatrix
 from .lattices import SupportPolicy, rel_lattice
@@ -69,12 +69,16 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
     and each new cone stays simplicial because w has a nonzero
     coefficient on the ray it replaces) and carries over the input's
     validation level and warnings. Like any new fan it starts with an
-    empty cache.
+    empty private cache.
 
     The refined face map depends on sigma and not on w. It is worked out
-    once per sigma and cached on the input fan under ("subdivision",
-    sigma's ray indices); that face map is all a refined fan takes from
-    the input, and nothing a refined fan computes is written back.
+    once per sigma and cached on the input's face map under
+    ("subdivision", sigma's ray indices), so every subdivision of sigma,
+    whatever its new ray, is built on that one face map and shares its
+    combinatorial cache (sorted and maximal cones, star sets, star
+    masks, draw candidates). Nothing that reads the rays is shared: the
+    refined fan's determinants, relation lattice, kernels and levels are
+    its own.
     """
     if not fan.simplicial:
         raise NotSimplicialError("stellar subdivision requires a simplicial fan")
@@ -93,15 +97,15 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
     if solution is None or any(c <= 0 for c in solution[0]):
         raise FanValidationError(
             f"{w} is not in the relative interior of cone {sigma.ray_indices}")
-    faces = fan._cached(("subdivision", sigma.ray_indices),
-                        lambda: _refined_faces(fan, sigma))
+    faces = fan._face_cached(("subdivision", sigma.ray_indices),
+                             lambda: _refined_faces(fan, sigma))
     return Fan(fan.rank, fan.rays + (w,), faces, True,
                name=f"{fan.name}/stellar" if fan.name else None,
                asserted_complete=fan.asserted_complete, validation=fan.validation,
                warnings=fan.warnings)
 
 
-def _refined_faces(fan: Fan, sigma: ConeRef) -> dict:
+def _refined_faces(fan: Fan, sigma: ConeRef) -> FaceMap:
     """The face map of the subdivision of fan at sigma, whose new ray is index len(fan.rays)."""
     new_index = len(fan.rays)
     sig = set(sigma.ray_indices)
@@ -173,9 +177,12 @@ def random_stellar_draw(fan: Fan, rng: random.Random) -> Optional[tuple[ConeRef,
     """Pick a cone of dim >= 2 and an interior primitive ray, or None.
 
     Coefficients are drawn from {1, 2, 3}; the draw retries a bounded
-    number of times when the weighted sum lands on an existing ray.
+    number of times when the weighted sum lands on an existing ray. The
+    candidate cones depend on the cones alone and are cached on the
+    fan's face map.
     """
-    candidates = [c for c in fan.cones if c.dim >= 2]
+    candidates = fan._face_cached("draw_candidates", lambda: tuple(
+        c for c in fan.cones if c.dim >= 2))
     if not candidates:
         return None
     cone = rng.choice(candidates)

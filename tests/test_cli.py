@@ -274,6 +274,22 @@ class TestDecompose:
         assert report["results"][0]["checks"] == {"sum_matches": True,
                                                   "pieces_are_relations": True}
 
+    def test_wrong_solve_stops_at_the_library_check(self, capsys, monkeypatch, p2_refined_file):
+        # The report's checks are the outcome of local_decompose's own
+        # check, so a solve that returns a wrong coefficient vector stops
+        # the command with no report.
+        filtration_module = importlib.import_module("fanlat.filtration")
+        real = filtration_module.solve_factored
+
+        def wrong(factor, target):
+            coeffs = real(factor, target)
+            return (coeffs[0] + 1,) + coeffs[1:]
+
+        monkeypatch.setattr(filtration_module, "solve_factored", wrong)
+        code, out, err = run(capsys, "decompose", p2_refined_file)
+        assert (code, out) == (3, "")
+        assert err == "internal error: pieces do not sum to the relation\n"
+
     def test_parser_reuse_keeps_calls_apart(self, capsys, p2xp1_file):
         code, report, _ = run_json(capsys, "decompose", p2xp1_file, "--relation", "0,0,0,1,1")
         assert code == 0

@@ -10,7 +10,7 @@ import fanlat.refine as refine_module
 import oracles
 from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError, NotSimplicialError
-from fanlat.fan import (apply_unimodular, build_fan, is_complete, localize,
+from fanlat.fan import (Fan, apply_unimodular, build_fan, is_complete, localize,
                         primitive, star, star_sets)
 from fanlat.intlin import IntMatrix, Sublattice, hnf, sublattice_index
 from fanlat.qsolve import cone_pair_proper, det, fm_feasible, solve_unique
@@ -473,6 +473,27 @@ class TestApplyUnimodular:
         fan = catalog_entry("p2").fan
         with pytest.raises(ValueError, match="unimodular"):
             apply_unimodular(fan, IntMatrix([[2, 0], [0, 1]]))
+
+    def test_image_shares_the_face_map_cache_only(self):
+        fan = _rebuild(catalog_entry("p2xp1").fan)
+        tables = [star_sets(fan, k) for k in range(fan.rank + 1)]
+        assert is_complete(fan)
+        image = apply_unimodular(fan, IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+        assert image._cones is fan._cones
+        assert image.cones is fan.cones and image.maximal_cones is fan.maximal_cones
+        assert all(star_sets(image, k) is table for k, table in enumerate(tables))
+        # Completeness and the determinants read the rays: the image has its own.
+        assert "complete" not in image._memo and "maximal_dets" not in image._memo
+        assert is_complete(image)
+        assert image._memo["maximal_dets"] is not fan._memo["maximal_dets"]
+
+    def test_plain_cone_dict_is_copied(self):
+        fan = catalog_entry("p2").fan
+        cones = dict(fan._cones)
+        copy = Fan(fan.rank, fan.rays, cones, True)
+        assert copy._cones == cones and copy._cones is not cones
+        assert copy._cones.memo == {}
+        assert copy.maximal_cones == fan.maximal_cones
 
 
 RANK3_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1),

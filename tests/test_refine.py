@@ -6,9 +6,9 @@ import fanlat.refine as refine_module
 import oracles
 from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError, NotARelationError
-from fanlat.fan import build_fan, is_complete, star
-from fanlat.filtration import filtration, local_decompose
-from fanlat.lattices import SupportPolicy, rel_lattice, rel_lattice_star
+from fanlat.fan import build_fan, is_complete, star, star_sets
+from fanlat.filtration import _star_masks, filtration, local_decompose
+from fanlat.lattices import _REL_LATTICE, SupportPolicy, rel_lattice, rel_lattice_star
 from fanlat.refine import (DepthRecord, conjecture_scan, random_stellar_draw,
                            refinement_injection, stellar_subdivide)
 
@@ -224,16 +224,73 @@ class TestSubdivisionSkeleton:
         draws = [((0, 1), (1, 1, 0)), ((0, 1), (2, 1, 0)), ((0, 1, 2), (1, 1, 1)),
                  ((0, 1), (1, 1, 0)), ((1, 2, 3), (-1, 0, 0))]
         children = [stellar_subdivide(parent, parent.cone(c), w) for c, w in draws]
-        skeletons = [key for key in parent._memo if key[0] == "subdivision"]
-        assert sorted(skeletons) == [("subdivision", (0, 1)), ("subdivision", (0, 1, 2)),
-                                     ("subdivision", (1, 2, 3))]
+        # The skeletons live on the parent's face map, one per subdivided cone.
+        assert sorted(_skeleton_keys(parent)) == [
+            ("subdivision", (0, 1)), ("subdivision", (0, 1, 2)), ("subdivision", (1, 2, 3))]
+        assert not any(key[0] == "subdivision" for key in parent._memo)
         child = children[0]
-        assert not any(key[0] == "subdivision" for c in children for key in c._memo)
+        assert not any(_skeleton_keys(c) for c in children)
         grandchild = stellar_subdivide(child, child.cone((0, 4)), (2, 1, 0))
-        assert [key for key in child._memo if key[0] == "subdivision"] == [
-            ("subdivision", (0, 4))]
-        assert not any(key[0] == "subdivision" for key in grandchild._memo)
+        assert _skeleton_keys(child) == [("subdivision", (0, 4))]
+        assert not _skeleton_keys(grandchild)
         self._assert_matches_fresh(grandchild)
+
+
+def _skeleton_keys(fan):
+    return [key for key in fan._cones.memo if key[0] == "subdivision"]
+
+
+_GEOMETRIC = ("kernel", "level", "maximal_dets", _REL_LATTICE, "ray_star_system")
+
+
+def _geometric_keys(fan):
+    return [key for key in fan._memo
+            if (key[0] if isinstance(key, tuple) else key) in _GEOMETRIC]
+
+
+class TestSharedFaceMap:
+    """Subdivisions of one cone share one face-map cache and nothing that reads the rays."""
+
+    @pytest.mark.parametrize("name, cone, rays, tau", [
+        ("p2", (0, 1), [(1, 1), (2, 1), (1, 2)], (1, 2)),
+        ("p3", (0, 1), [(1, 1, 0), (2, 1, 0), (1, 2, 0)], (2, 3)),
+        ("p3", (0, 1, 2), [(1, 1, 1), (3, 2, 1)], (2, 3)),
+        ("p2xp1", (0, 3), [(1, 0, 1), (2, 0, 1), (1, 0, 2)], (1, 2)),
+    ])
+    def test_siblings_share_the_combinatorial_cache(self, name, cone, rays, tau):
+        parent = _fresh_copy(catalog_entry(name).fan)
+        siblings = []
+        for w in rays:
+            refined = stellar_subdivide(parent, parent.cone(cone), w)
+            assert _geometric_keys(refined) == [], w
+            # Fill this sibling's own cache before the next one is built.
+            assert is_complete(refined)
+            for policy in (INC, EXC):
+                filtration(refined, policy).levels
+            assert {"maximal_dets", _REL_LATTICE} <= set(refined._memo)
+            siblings.append(refined)
+        assert len({id(fan._cones) for fan in siblings}) == 1
+        assert siblings[0]._cones is not parent._cones
+        for refined in siblings:
+            keys = [c.ray_indices for c in refined._cones.values()]
+            fresh = build_fan(refined.rank, refined.rays, oracles.maximal_bruteforce(keys))
+            assert fresh._cones is not refined._cones
+            assert refined.cones == fresh.cones
+            assert refined.maximal_cones == fresh.maximal_cones
+            for k in range(refined.rank + 1):
+                assert star_sets(refined, k) == star_sets(fresh, k), (refined.rays[-1], k)
+                for policy in (INC, EXC):
+                    assert (_star_masks(refined, policy, k)
+                            == _star_masks(fresh, policy, k)), (refined.rays[-1], policy, k)
+        # Refining two siblings at one cone again gives two fans on one face map.
+        w2 = tuple(map(sum, zip(*(parent.rays[i] for i in tau))))
+        grandchildren = [stellar_subdivide(s, s.cone(tau), w2) for s in siblings[:2]]
+        assert grandchildren[0]._cones is grandchildren[1]._cones
+        for grandchild in grandchildren:
+            assert _geometric_keys(grandchild) == []
+            fresh = _fresh_copy(grandchild)
+            for policy in (INC, EXC):
+                assert filtration(grandchild, policy).levels == filtration(fresh, policy).levels
 
 
 class TestRefinementInjection:
