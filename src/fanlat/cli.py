@@ -31,10 +31,39 @@ from .refine import compare_depths, conjecture_scan, stellar_subdivide
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
+    """A comma-separated integer list; the empty string is the empty vector, an empty item an error."""
+    items = text.replace(" ", "")
     try:
-        return tuple(int(x) for x in text.replace(" ", "").split(",") if x != "")
+        return tuple(map(int, items.split(","))) if items else ()
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
+
+
+_VECTOR_OPTIONS = ("--relation", "--cone", "--ray")
+
+
+def _join_vector_values(argv: Sequence[str]) -> list[str]:
+    """argv with each vector option joined by "=" to a following integer list like -1,0.
+
+    argparse would read such a value as an option; joined, it is read as
+    meant. Anything else, and anything after a "--", stays as it is.
+    """
+    args = []
+    for token in argv:
+        if (args and args[-1] in _VECTOR_OPTIONS and "--" not in args
+                and token.startswith("-") and _is_vector(token)):
+            args[-1] += "=" + token
+        else:
+            args.append(token)
+    return args
+
+
+def _is_vector(text: str) -> bool:
+    try:
+        _parse_vector(text)
+    except argparse.ArgumentTypeError:
+        return False
+    return True
 
 
 def _count(text: str) -> int:
@@ -395,7 +424,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_vector_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     if args.command == "conjecture" and args.policy == "both":

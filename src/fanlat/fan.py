@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import FanValidationError, InternalCheckError, NotSimplicialError
 from .intlin import IntMatrix, hnf_basis, matrix_rank, snf
-from .qsolve import cone_pair_proper, det, in_simplicial_cone
+from .qsolve import _echelon, cone_pair_proper, det, in_simplicial_cone
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -220,19 +220,12 @@ def simplicial_faces(rank: int, maximal_cones: Sequence[tuple[int, ...]]) -> Fac
     return cone_map
 
 
-def _cone_dim(ray_vectors, idxs) -> int:
-    if not idxs:
-        return 0
-    return matrix_rank(IntMatrix([ray_vectors[i] for i in idxs]))
-
-
 def _independent(rank: int, ray_vectors, key: tuple[int, ...], dets: dict) -> bool:
     """Whether the rays of key are independent; the determinant of rank rays is kept in dets."""
-    if len(key) != rank:
-        return _cone_dim(ray_vectors, key) == len(key)
-    if key not in dets:
-        dets[key] = det([ray_vectors[i] for i in key])
-    return dets[key] != 0
+    pivots, sign, scale = _echelon([list(ray_vectors[i]) for i in key], rank)
+    if len(key) == rank:
+        dets[key] = sign * scale if len(pivots) == rank else 0
+    return len(pivots) == len(key)
 
 
 def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
@@ -304,7 +297,7 @@ def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
         for i in key:
             if not 0 <= i < len(rays):
                 raise FanValidationError(f"ray index {i} out of range in cone list")
-        d = _cone_dim(rays, key)
+        d = matrix_rank(IntMatrix._of([rays[i] for i in key], rank))
         cone_map.setdefault(key, ConeRef(key, d, rank - d))
     for c in gens:
         if c not in cone_map:

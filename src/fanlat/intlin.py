@@ -1,18 +1,19 @@
 """Exact integer linear algebra on arbitrary-precision integers.
 
 Hermite and Smith normal forms, integer kernels, saturation, and
-canonical sublattice arithmetic. snf always returns its unimodular
-transforms; hnf returns the row transform, and hnf_basis runs the same
-elimination without building it, for callers (Sublattice, lattice_sum)
-that only read the form; matrix_rank counts the pivots of qsolve's
-fraction-free echelon and needs no HNF. The row-style HNF used here
-(positive pivots, entries above each pivot reduced into [0, pivot),
-zero rows trailing) is the single canonical form of the package: two
-sublattices are equal iff their canonical bases are identical tuples.
-An integer kernel is two eliminations: the row HNF of [m^T | I] over
-the columns of m^T leaves a kernel basis in the identity part of its
-rows that vanish on m^T, and an HNF of those parts alone makes that
-basis canonical.
+canonical sublattice arithmetic. Every elimination runs on one gcd step,
+_clear_below: _hermite applies it to rows, and snf, which always returns
+its unimodular transforms, to the rows of [s | u] and of [s^T | w^T].
+hnf returns the row transform, and hnf_basis runs the same elimination
+without building it; matrix_rank counts the pivots of qsolve's
+fraction-free echelon. The row-style HNF (positive pivots, entries above
+each pivot reduced into [0, pivot), zero rows trailing) is the single
+canonical form of the package: two sublattices are equal iff their
+canonical bases are identical tuples. integer_kernel chooses the kernel
+algorithm: a kernel of rank 0 or 1 among at most n + 1 vectors of Z^n
+is read from one fraction-free elimination; any other takes two Hermite
+eliminations, of [m^T | I] over the columns of m^T, then of the identity
+parts of its rows that vanish on m^T.
 
 Entries are type-checked where they enter, in the public IntMatrix and
 Sublattice constructors and IntMatrix.from_columns; every matrix derived
@@ -27,6 +28,7 @@ solve_factored can reuse it for every right-hand side.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import EnumerationLimitError
@@ -145,6 +147,29 @@ def _with_identity(rows: Iterable[Sequence[int]], n: int) -> list[list[int]]:
     return [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
 
 
+def _clear_below(rows: list[list[int]], r: int, c: int) -> None:
+    """The one gcd step: zero column c below row r against rows[r][c] != 0, in place.
+
+    An entry that the pivot divides takes a plain shear, which keeps the
+    pivot row; any other takes an xgcd step, which leaves their gcd as pivot.
+    """
+    pivot_row = rows[r]
+    for i in range(r + 1, len(rows)):
+        row = rows[i]
+        b = row[c]
+        if b:
+            a = pivot_row[c]
+            if b % a == 0:
+                q = b // a
+                rows[i] = [t - q * s for s, t in zip(pivot_row, row)]
+            else:
+                g, x, y = xgcd(a, b)
+                p, q = a // g, b // g
+                rows[i] = [p * t - q * s for s, t in zip(pivot_row, row)]
+                pivot_row = [x * s + y * t for s, t in zip(pivot_row, row)]
+    rows[r] = pivot_row
+
+
 def _hermite(rows: list[list[int]], width: int) -> list[list[int]]:
     """The one HNF elimination loop, in place on rows, over their first width columns.
 
@@ -164,24 +189,10 @@ def _hermite(rows: list[list[int]], width: int) -> list[list[int]]:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+        _clear_below(rows, r, c)
         pivot_row = rows[r]
-        for i in range(r + 1, height):
-            row = rows[i]
-            b = row[c]
-            if b:
-                a = pivot_row[c]
-                if b % a == 0:
-                    # plain shear keeps the pivot row intact
-                    q = b // a
-                    rows[i] = [t - q * s for s, t in zip(pivot_row, row)]
-                else:
-                    g, x, y = xgcd(a, b)
-                    p, q = a // g, b // g
-                    rows[i] = [p * t - q * s for s, t in zip(pivot_row, row)]
-                    pivot_row = [x * s + y * t for s, t in zip(pivot_row, row)]
         if pivot_row[c] < 0:
-            pivot_row = [-x for x in pivot_row]
-        rows[r] = pivot_row
+            pivot_row = rows[r] = [-x for x in pivot_row]
         a = pivot_row[c]
         for i in range(r):
             q = rows[i][c] // a
@@ -219,52 +230,22 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     u = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
     w = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
 
-    def clear_row_entry(t, i):
-        # Zero s[i][t] against the pivot s[t][t]; shear when divisible so
-        # the pivot row is untouched, else a gcd step that shrinks the pivot.
-        a, b = s[t][t], s[i][t]
-        if b % a == 0:
-            q = b // a
-            for tgt in (s, u):
-                tgt[i] = [ti - q * tt for tt, ti in zip(tgt[t], tgt[i])]
-        else:
-            g, x, y = xgcd(a, b)
-            p, q = a // g, b // g
-            for tgt in (s, u):
-                rt, ri = tgt[t], tgt[i]
-                for k in range(len(rt)):
-                    va, vb = rt[k], ri[k]
-                    rt[k] = x * va + y * vb
-                    ri[k] = -q * va + p * vb
-
-    def clear_col_entry(t, j):
-        a, b = s[t][t], s[t][j]
-        if b % a == 0:
-            q = b // a
-            for tgt in (s, w):
-                for row in tgt:
-                    row[j] -= q * row[t]
-        else:
-            g, x, y = xgcd(a, b)
-            p, q = a // g, b // g
-            for tgt in (s, w):
-                for row in tgt:
-                    va, vb = row[t], row[j]
-                    row[t] = x * va + y * vb
-                    row[j] = -q * va + p * vb
-
     def clear_at(t):
+        # Alternate the gcd step on the rows of [s | u], which clears column
+        # t of s below t, and on the rows of [s^T | w^T], which clears row t
+        # of s right of t, until both are zero.
         while True:
             col_dirty = any(s[i][t] for i in range(t + 1, R))
             if col_dirty:
-                for i in range(t + 1, R):
-                    if s[i][t]:
-                        clear_row_entry(t, i)
+                rows = [a + b for a, b in zip(s, u)]
+                _clear_below(rows, t, t)
+                s[:], u[:] = [row[:C] for row in rows], [row[C:] for row in rows]
             row_dirty = any(s[t][j] for j in range(t + 1, C))
             if row_dirty:
-                for j in range(t + 1, C):
-                    if s[t][j]:
-                        clear_col_entry(t, j)
+                cols = [list(col) for col in zip(*s, *w)]
+                _clear_below(cols, t, t)
+                rows = [list(row) for row in zip(*cols)]
+                s[:], w[:] = rows[:R], rows[R:]
             if not col_dirty and not row_dirty:
                 return
 
@@ -286,9 +267,8 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             s[t], s[pi] = s[pi], s[t]
             u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            for tgt in (s, w):
-                for row in tgt:
-                    row[t], row[pj] = row[pj], row[t]
+            for row in s + w:
+                row[t], row[pj] = row[pj], row[t]
         clear_at(t)
         t += 1
 
@@ -302,9 +282,7 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         for i in range(limit - 1):
             a, b = s[i][i], s[i + 1][i + 1]
             if a != 0 and b % a != 0:
-                for row in s:
-                    row[i] += row[i + 1]
-                for row in w:
+                for row in s + w:
                     row[i] += row[i + 1]
                 clear_at(i)
                 changed = True
@@ -405,20 +383,58 @@ def member(v: Sequence[int], lattice: Sublattice) -> bool:
 
 
 def integer_kernel(m: IntMatrix) -> Sublattice:
-    """Kernel of m as a map from Z^cols to Z^rows, as a canonical sublattice.
+    """Kernel of m as a map from Z^cols to Z^rows, as a canonical sublattice."""
+    return Sublattice._from_canonical(m.cols, _kernel_basis(m.transpose().entries, m.rows))
 
-    The HNF of [m^T | I] over its first m.rows columns (Cohen, *A Course
-    in Computational Algebraic Number Theory*, section 2.4) leaves last
-    the rows that vanish on m^T; their identity parts are a basis of the
-    kernel, and a second HNF of those parts alone makes it canonical.
-    The canonical HNF is unique, so this is the form that one
-    elimination over every column gives, without reducing the rows that
-    are dropped.
+
+def _kernel_basis(vectors: Sequence[Sequence[int]], n: int) -> list:
+    """The canonical basis of the integer relations among vectors in Z^n.
+
+    At most n + 1 vectors try _kernel_of_corank_one first. Otherwise the
+    HNF of [V | I], V with the vectors as rows, over its first n columns
+    (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4)
+    leaves a kernel basis in the identity parts of the rows that vanish
+    on V, and an HNF of those parts alone makes it canonical.
     """
-    n = m.rows
-    rows = _hermite(_with_identity(m.transpose().entries, m.cols), n)
-    kernel = [row[n:] for row in rows if not any(row[:n])]
-    return Sublattice._from_canonical(m.cols, _hermite(kernel, m.cols))
+    k = len(vectors)
+    basis = _kernel_of_corank_one(vectors, n) if k <= n + 1 else None
+    if basis is not None:
+        return basis
+    rows = _hermite(_with_identity(vectors, k), n)
+    return _hermite([row[n:] for row in rows if not any(row[:n])], k)
+
+
+def _kernel_of_corank_one(vectors: Sequence[Sequence[int]], n: int) -> Optional[list]:
+    """The canonical kernel basis of the n x k matrix with these columns, if of rank k or k - 1.
+
+    One fraction-free elimination to echelon form (qsolve._echelon),
+    which skips a column without a pivot. No free column means the
+    kernel is zero. One free column f: the last pivot d is, up to sign,
+    the determinant of the pivot columns in the rows that hold the
+    pivots, so by Cramer's rule the kernel vector with d at f is
+    integral, and back-substitution finds it with exact divisions. Made
+    primitive with its leading entry positive, it is the canonical HNF
+    basis of the rank-one kernel. Returns None when two or more columns
+    are free.
+    """
+    k = len(vectors)
+    if not k:
+        return []
+    rows = [list(row) for row in zip(*vectors)]
+    pivot_cols, _, scale = _echelon(rows, k)
+    if len(pivot_cols) == k:
+        return []
+    if len(pivot_cols) < k - 1:
+        return None
+    free = next(c for c in range(k) if c not in pivot_cols)
+    vec = [0] * k
+    vec[free] = scale
+    for row, c in zip(reversed(rows[:len(pivot_cols)]), reversed(pivot_cols)):
+        vec[c] = -sum(a * b for a, b in zip(row[c + 1:], vec[c + 1:])) // row[c]
+    g = gcd(*vec)
+    if next(filter(None, vec)) < 0:
+        g = -g
+    return [tuple(x // g for x in vec)]
 
 
 def lattice_sum(parts: Iterable[Sublattice], ambient_rank: Optional[int] = None) -> Sublattice:

@@ -12,27 +12,25 @@ of the cone's codimension (fan.star_sets). A star kernel depends on its
 support alone, the sorted rays it may touch, and not on the cone or the
 policy that named it. So it is cached on the fan under ("kernel",
 support): cones with equal star sets share one kernel, and so do the two
-policies where their supports coincide. A support of at most rank + 1
-rays whose kernel has rank 0 or 1 gets that kernel from one
-fraction-free elimination of its rays; every other support takes the
-Hermite elimination of integer_kernel. The rank of a star kernel needs
-no kernel: it is the support size minus the rank of its rays
-(_star_kernel_rank), one fraction-free elimination. Kernels are
-cached per fan only: a stellar subdivision is a new fan and builds its
-own.
+policies where their supports coincide. The kernel of a support's rays
+comes from the kernel routine of intlin, which picks the closed form or
+the Hermite eliminations, and is zero-extended to the fan's rays. The
+rank of a star kernel needs no kernel: it is the support size minus the
+rank of its rays (_star_kernel_rank), one fraction-free elimination.
+Kernels are cached per fan only: a stellar subdivision is a new fan and
+builds its own.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import FanValidationError
 from .fan import ConeRef, Fan, localize, star_sets
-from .intlin import IntMatrix, Sublattice, integer_kernel, matrix_rank, snf, sublattice_index
-from .qsolve import _echelon
+from .intlin import (IntMatrix, Sublattice, _kernel_basis, integer_kernel, matrix_rank, snf,
+                     sublattice_index)
 
 
 class SupportPolicy(enum.Enum):
@@ -117,52 +115,13 @@ def _embedded_kernel(fan: Fan, support: Sequence[int]) -> Sublattice:
     basis keeps every pivot order and is itself canonical.
     """
     m = len(fan.rays)
-    columns = [fan.rays[i] for i in support]
-    basis = _kernel_of_corank_one(columns, fan.rank) if len(columns) <= fan.rank + 1 else None
-    if basis is None:
-        basis = integer_kernel(IntMatrix._of(columns, fan.rank).transpose()).basis_rows
     gens = []
-    for row in basis:
+    for row in _kernel_basis([fan.rays[i] for i in support], fan.rank):
         vec = [0] * m
         for i, x in zip(support, row):
             vec[i] = x
         gens.append(vec)
     return Sublattice._from_canonical(m, gens)
-
-
-def _kernel_of_corank_one(columns: Sequence[Sequence[int]], n: int) -> Optional[list]:
-    """The canonical kernel basis of the n x k matrix with these columns, if its rank is k or k - 1.
-
-    One fraction-free elimination to echelon form (qsolve._echelon),
-    which skips a column without a pivot. No free column means the
-    kernel is zero. One free column f: the last pivot d is, up to sign,
-    the determinant of the pivot columns in the rows that hold the
-    pivots, so by Cramer's rule the kernel vector with d at f is
-    integral, and back-substitution finds it with exact divisions. Made
-    primitive with its leading entry positive, it is the canonical HNF
-    basis of the rank-one kernel. Returns None when two or more columns
-    are free.
-    """
-    k = len(columns)
-    if not k:
-        return []
-    rows = [list(row) for row in zip(*columns)]
-    pivot_cols, _, scale = _echelon(rows, k)
-    if len(pivot_cols) == k:
-        return []
-    if len(pivot_cols) < k - 1:
-        return None
-    free = next(c for c in range(k) if c not in pivot_cols)
-    vec = [0] * k
-    vec[free] = scale
-    for row, c in zip(reversed(rows[:len(pivot_cols)]), reversed(pivot_cols)):
-        vec[c] = -sum(a * b for a, b in zip(row[c + 1:], vec[c + 1:])) // row[c]
-    g = 0
-    for x in vec:
-        g = math.gcd(g, x)
-    if next(filter(None, vec)) < 0:
-        g = -g
-    return [tuple(x // g for x in vec)]
 
 
 def rel_lattice_star(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> RelLattice:

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from fanlat import cli as cli_module
 from fanlat.cli import main
 from fanlat.corpus import catalog_entry
 from fanlat.fan import star
@@ -367,6 +368,49 @@ class TestSubdivide:
         assert code == 1
         assert out == ""
         assert err == "error: zero ray\n"
+
+
+class TestVectorOptions:
+    """--relation, --cone and --ray read a negative value after a space, and no empty item."""
+
+    @pytest.mark.parametrize("argv", [
+        ["subdivide", "{p2}", "--cone", "1,2", "--policy", "both", "--ray", "-1,0"],
+        ["depth", "{p2}", "--relation", "-1,-1,-1"],
+        ["decompose", "{p2}", "--relation", "-1,-1,-1"],
+        ["localize", "{p2}", "--cone", "-1,0"],
+    ])
+    def test_space_form_prints_what_the_equals_form_prints(self, capsys, p2_file, argv):
+        spaced = [a.format(p2=p2_file) for a in argv]
+        joined = spaced[:-2] + [f"{spaced[-2]}={spaced[-1]}"]
+        code, out, err = run(capsys, *spaced)
+        assert (code, out, err) == run(capsys, *joined)
+        assert "expected one argument" not in err
+        assert out or err.startswith("error: ")
+
+    def test_space_form_runs_the_subdivision(self, capsys, p2_file):
+        code, report, _ = run_json(capsys, "subdivide", p2_file, "--cone", "1,2", "--ray", "-1,0")
+        assert code == 0
+        assert report["after_fan"]["rays"][-1] == [-1, 0]
+
+    @pytest.mark.parametrize("value", ["-1,x", "-x", "-1,,1"])
+    def test_a_value_that_is_no_integer_list_stays_an_option(self, capsys, p2_file, value):
+        code, out, err = run(capsys, "depth", p2_file, "--relation", value)
+        assert code == 2
+        assert out == ""
+        assert err.endswith("error: argument --relation: expected one argument\n")
+
+    def test_nothing_after_a_double_dash_is_joined(self):
+        assert cli_module._join_vector_values(["--ray", "-1,0", "--", "--ray", "-1,0"]) == [
+            "--ray=-1,0", "--", "--ray", "-1,0"]
+
+    @pytest.mark.parametrize("value", ["1,,1,1", "1,1,", ",1,1,1", ","])
+    def test_an_empty_item_is_a_usage_error(self, capsys, p2_file, value):
+        code, out, err = run(capsys, "depth", p2_file, f"--relation={value}")
+        assert code == 2
+        assert out == ""
+        assert err.endswith(f"error: argument --relation: expected a comma-separated integer "
+                            f"list, got {value!r}\n")
+        assert "Traceback" not in err
 
 
 class TestUnwritableOutput:

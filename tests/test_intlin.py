@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -63,6 +64,23 @@ class TestSNF:
     def test_one_by_one(self):
         s, _, _ = snf(IntMatrix([[6]]))
         assert rows(s) == [[6]]
+
+    def test_transforms_are_pinned(self):
+        # localize reads its projection from u, and other valid elimination
+        # orders give other transforms; this digest of (s, u, w) over
+        # seeded random matrices holds every step of snf in place.
+        rng = random.Random(20261019)
+        digest = hashlib.sha256()
+        for _ in range(500):
+            height, width = rng.randint(0, 6), rng.randint(0, 6)
+            bound = rng.choice((1, 9, 10 ** 6))
+            zeros = rng.random()
+            m = IntMatrix([[0 if rng.random() < zeros else rng.randint(-bound, bound)
+                            for _ in range(width)] for _ in range(height)], cols=width)
+            s, u, w = snf(m)
+            digest.update(repr((s.entries, u.entries, w.entries)).encode())
+        assert digest.hexdigest() == (
+            "78598b8cef34125974ab19cc1abdbdd5edf7c3b3b1cd9d9ce61bae7c5aaa07b3")
 
 
 class TestIntegerKernel:

@@ -3,12 +3,12 @@ import random
 import pytest
 
 import oracles
-from fanlat import lattices as lattices_module
+from fanlat import intlin as intlin_module
 from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError
 from fanlat.fan import apply_unimodular, build_fan
 from fanlat.filtration import filtration
-from fanlat.intlin import IntMatrix, Sublattice, integer_kernel, lattice_equal, member
+from fanlat.intlin import IntMatrix, Sublattice, hnf, lattice_equal, member
 from fanlat.lattices import (SupportPolicy, class_group, ray_lattice,
                              rel_lattice, rel_lattice_internal,
                              rel_lattice_localized, rel_lattice_star, star_support)
@@ -237,10 +237,19 @@ def _box_points(basis, k, bound):
             if all(abs(t * x) <= bound for x in v)}
 
 
-class TestCorankOneKernel:
-    """The closed-form kernel of a support of at most rank + 1 rays."""
+def _two_step_kernel(columns, n):
+    """The kernel reference of run_random_property_suite.
 
-    def test_matches_integer_kernel_and_brute_force(self):
+    The rows of u that hnf(m^T) sends to zero, put through Sublattice.
+    """
+    h, u = hnf(IntMatrix.from_columns(columns, height=n).transpose())
+    return Sublattice(len(columns), [u.row(i) for i in range(h.rows) if not any(h.row(i))])
+
+
+class TestCorankOneKernel:
+    """The closed-form kernel of at most n + 1 vectors of Z^n, which integer_kernel tries first."""
+
+    def test_matches_the_two_step_reference_and_brute_force(self):
         rng = random.Random(1312)
         seen = {0: 0, 1: 0, None: 0}
         brute = 0
@@ -248,8 +257,8 @@ class TestCorankOneKernel:
             n = rng.randint(1, 5)
             k = rng.randint(0, n + 1)
             columns = _random_columns(rng, n, k)
-            closed = lattices_module._kernel_of_corank_one(columns, n)
-            kernel = integer_kernel(IntMatrix.from_columns(columns, height=n))
+            closed = intlin_module._kernel_of_corank_one(columns, n)
+            kernel = _two_step_kernel(columns, n)
             if closed is None:
                 assert kernel.rank >= 2, columns
                 seen[None] += 1
@@ -266,7 +275,7 @@ class TestCorankOneKernel:
         assert brute > 500
 
     def test_known_kernels(self):
-        corank_one = lattices_module._kernel_of_corank_one
+        corank_one = intlin_module._kernel_of_corank_one
         assert corank_one([], 2) == []
         assert corank_one([(0, 0)], 2) == [(1,)]
         assert corank_one([(1, 0), (0, 1)], 2) == []
@@ -276,16 +285,17 @@ class TestCorankOneKernel:
         assert corank_one([(1, 0), (2, 0), (3, 0)], 2) is None
 
     def test_star_kernels_take_the_closed_form_or_the_hermite_path(self, monkeypatch):
-        calls = []
-        real = lattices_module.integer_kernel
-        monkeypatch.setattr(lattices_module, "integer_kernel",
-                            lambda m: calls.append(m.cols) or real(m))
         fan = catalog_entry("p2xp1").fan
+        calls = []
+        real = intlin_module._hermite
+        monkeypatch.setattr(intlin_module, "_hermite",
+                            lambda rows, width: calls.append(width) or real(rows, width))
         small = rel_lattice_star(fan, fan.cone((0, 3)), INC)
         assert small.basis_rows == ((1, 1, 1, 0, 0),) and calls == []
-        # The star of ray 0 has all five rays, more than rank + 1.
+        # The star of ray 0 has all five rays, more than rank + 1: one
+        # elimination over the rank columns of [V | I], one over the kernel.
         whole = rel_lattice_star(fan, fan.cone((0,)), INC)
-        assert whole.rank == 2 and calls == [5]
+        assert whole.rank == 2 and calls == [3, 5]
 
 
 class TestStarKernelSharing:
