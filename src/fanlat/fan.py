@@ -302,6 +302,9 @@ def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
     for c in gens:
         if c not in cone_map:
             raise FanValidationError(f"maximal cone {c} missing from the full cone list")
+    for i in range(len(rays)):
+        if (i,) not in cone_map:
+            raise FanValidationError(f"1-cone of ray {i} missing from the full cone list")
     return Fan(rank, rays, cone_map, False, name=name,
                asserted_complete=assert_complete, validation="trusted",
                warnings=("non-simplicial fan accepted on trust",))

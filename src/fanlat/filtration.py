@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 from .errors import (InternalCheckError, NotARelationError, NotCompleteError,
                      NotLocallyGeneratedError, NotSimplicialError)
 from .fan import ConeRef, Fan, is_complete, star_sets
-from .intlin import (ColumnFactor, IntMatrix, Sublattice, _hermite, factor_columns,
+from .intlin import (ColumnFactor, Sublattice, _hermite, factor_columns,
                      lattice_equal, member, solve_factored)
 from .lattices import (RelLattice, SupportPolicy, _cached_rel_lattice, _policy_support,
                        _star_kernel, _star_kernel_rank, rel_lattice)
@@ -325,7 +325,7 @@ def _ray_star_system(fan: Fan) -> tuple[list[int], list[tuple[int, ...]], Column
         local = _star_kernel(fan, stars[(i,)])
         owners.extend([i] * local.rank)
         columns.extend(local.basis_rows)
-    return owners, columns, factor_columns(IntMatrix.from_columns(columns, height=len(fan.rays)))
+    return owners, columns, factor_columns(columns, len(fan.rays))
 
 
 def _verify_decomposition(r, pieces, stars, ray_mat) -> None:

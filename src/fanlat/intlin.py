@@ -4,16 +4,20 @@ Hermite and Smith normal forms, integer kernels, saturation, and
 canonical sublattice arithmetic. Every elimination runs on one gcd step,
 _clear_below: _hermite applies it to rows, and snf, which always returns
 its unimodular transforms, to the rows of [s | u] and of [s^T | w^T].
-hnf returns the row transform, and hnf_basis runs the same elimination
-without building it; matrix_rank counts the pivots of qsolve's
-fraction-free echelon. The row-style HNF (positive pivots, entries above
-each pivot reduced into [0, pivot), zero rows trailing) is the single
-canonical form of the package: two sublattices are equal iff their
-canonical bases are identical tuples. integer_kernel chooses the kernel
-algorithm: a kernel of rank 0 or 1 among at most n + 1 vectors of Z^n
-is read from one fraction-free elimination; any other takes two Hermite
-eliminations, of [m^T | I] over the columns of m^T, then of the identity
-parts of its rows that vanish on m^T.
+The transforms that hnf and factor_columns return have one mechanism:
+_hermite runs on the data columns alone and logs its row operations,
+and _transform_rows multiplies the rows the caller asked for out of the
+log. hnf asks for all of them and factor_columns for those of the
+nonzero rows only; hnf_basis runs the same elimination with no log.
+matrix_rank counts the pivots of qsolve's fraction-free echelon. The
+row-style HNF (positive pivots, entries above each pivot reduced into
+[0, pivot), zero rows trailing) is the single canonical form of the
+package: two sublattices are equal iff their canonical bases are
+identical tuples. integer_kernel chooses the kernel algorithm: a kernel
+of rank 0 or 1 among at most n + 1 vectors of Z^n is read from one
+fraction-free elimination; any other takes two Hermite eliminations, of
+[m^T | I] over the columns of m^T, then of the identity parts of its
+rows that vanish on m^T.
 
 Entries are type-checked where they enter, in the public IntMatrix and
 Sublattice constructors and IntMatrix.from_columns; every matrix derived
@@ -22,8 +26,9 @@ inside the package is built unchecked by IntMatrix._of.
 No floats and no rationals enter this module, nor any other module of
 the package: qsolve pivots fraction-free as well. Membership tests and
 integer solves run by exact back-substitution against an HNF basis;
-factor_columns keeps the HNF with transform of one matrix so that
-solve_factored can reuse it for every right-hand side.
+factor_columns keeps the HNF of one matrix's transpose and the transform
+rows a solve combines, so that solve_factored can reuse them for every
+right-hand side.
 """
 
 from __future__ import annotations
@@ -147,11 +152,12 @@ def _with_identity(rows: Iterable[Sequence[int]], n: int) -> list[list[int]]:
     return [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
 
 
-def _clear_below(rows: list[list[int]], r: int, c: int) -> None:
+def _clear_below(rows: list[list[int]], r: int, c: int, log: Optional[list] = None) -> None:
     """The one gcd step: zero column c below row r against rows[r][c] != 0, in place.
 
     An entry that the pivot divides takes a plain shear, which keeps the
     pivot row; any other takes an xgcd step, which leaves their gcd as pivot.
+    Each row operation is appended to log when one is given (see _hermite).
     """
     pivot_row = rows[r]
     for i in range(r + 1, len(rows)):
@@ -162,20 +168,34 @@ def _clear_below(rows: list[list[int]], r: int, c: int) -> None:
             if b % a == 0:
                 q = b // a
                 rows[i] = [t - q * s for s, t in zip(pivot_row, row)]
+                if log is not None:
+                    log.append((_SHEAR, r, i, q))
             else:
                 g, x, y = xgcd(a, b)
                 p, q = a // g, b // g
                 rows[i] = [p * t - q * s for s, t in zip(pivot_row, row)]
                 pivot_row = [x * s + y * t for s, t in zip(pivot_row, row)]
+                if log is not None:
+                    log.append((_XGCD, r, i, x, y, p, q))
     rows[r] = pivot_row
 
 
-def _hermite(rows: list[list[int]], width: int) -> list[list[int]]:
+# The row operations of an elimination log, as tuples headed by their kind:
+# (_SHEAR, src, dst, q) subtracts q times row src from row dst;
+# (_XGCD, r, i, x, y, p, q) replaces rows r and i by x*r + y*i and p*i - q*r;
+# (_SWAP, r, s) swaps two rows; (_NEG, r) negates one.
+_SHEAR, _XGCD, _SWAP, _NEG = range(4)
+
+
+def _hermite(rows: list[list[int]], width: int, log: Optional[list] = None) -> list[list[int]]:
     """The one HNF elimination loop, in place on rows, over their first width columns.
 
     Pivots are searched and every multiplier is computed in those
     columns only, so columns past width (an appended identity) are
-    carried along without changing the form of the first width.
+    carried along without changing the form of the first width. A
+    caller that wants transform rows passes a list as log instead of
+    appending an identity: every row operation is appended to it, and
+    _transform_rows multiplies the rows out.
     """
     height = len(rows)
     r = 0
@@ -189,17 +209,55 @@ def _hermite(rows: list[list[int]], width: int) -> list[list[int]]:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-        _clear_below(rows, r, c)
+            if log is not None:
+                log.append((_SWAP, r, piv))
+        _clear_below(rows, r, c, log)
         pivot_row = rows[r]
         if pivot_row[c] < 0:
             pivot_row = rows[r] = [-x for x in pivot_row]
+            if log is not None:
+                log.append((_NEG, r))
         a = pivot_row[c]
         for i in range(r):
             q = rows[i][c] // a
             if q:
                 rows[i] = [s - q * t for s, t in zip(rows[i], pivot_row)]
+                if log is not None:
+                    log.append((_SHEAR, r, i, q))
         r += 1
     return rows
+
+
+def _transform_rows(log: list, height: int, keep: int) -> list[tuple[int, ...]]:
+    """The first keep rows of the transform U = E_K ... E_1 of a logged elimination.
+
+    The selector W = [I_keep | 0] is multiplied through the steps in
+    reverse, W <- W E_k. Each E_k acts on two rows, so on W it mixes two
+    columns of length keep: a step costs O(keep), where carrying the
+    identity through the elimination costs O(height) per row update.
+    A column of W that is still zero is the one shared list zero, and a
+    shear from it is skipped: most shears clear rows that no kept row
+    reads later, such as rows that end as zero rows of h.
+    """
+    zero = [0] * keep
+    cols = [[int(i == j) for i in range(keep)] for j in range(keep)] + [zero] * (height - keep)
+    for step in reversed(log):
+        kind = step[0]
+        if kind == _SHEAR:
+            _, src, dst, q = step
+            if cols[dst] is not zero:
+                cols[src] = [a - q * b for a, b in zip(cols[src], cols[dst])]
+        elif kind == _XGCD:
+            _, r, i, x, y, p, q = step
+            col_r, col_i = cols[r], cols[i]
+            cols[r] = [x * a - q * b for a, b in zip(col_r, col_i)]
+            cols[i] = [y * a + p * b for a, b in zip(col_r, col_i)]
+        elif kind == _SWAP:
+            _, r, s = step
+            cols[r], cols[s] = cols[s], cols[r]
+        else:
+            cols[step[1]] = [-a for a in cols[step[1]]]
+    return list(zip(*cols))
 
 
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -207,11 +265,13 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
     h has positive pivots in strictly increasing columns, entries above a
     pivot reduced into [0, pivot), and zero rows trailing. The algorithm
-    is deterministic, so equal inputs give identical outputs.
+    is deterministic, so equal inputs give identical outputs. u is
+    multiplied out of the elimination's log of row operations by
+    _transform_rows.
     """
-    rows = _hermite(_with_identity(m.entries, m.rows), m.cols)
-    return (IntMatrix._of([row[:m.cols] for row in rows], m.cols),
-            IntMatrix._of([row[m.cols:] for row in rows], m.rows))
+    log = []
+    h = _hermite([list(row) for row in m.entries], m.cols, log)
+    return IntMatrix._of(h, m.cols), IntMatrix._of(_transform_rows(log, m.rows, m.rows), m.rows)
 
 
 def hnf_basis(m: IntMatrix) -> IntMatrix:
@@ -513,39 +573,54 @@ def member_by_enumeration(v: Sequence[int], generators: Sequence[Sequence[int]],
 
 
 class ColumnFactor(NamedTuple):
-    """The HNF with transform of a matrix's transpose, kept for repeated solves.
+    """The HNF of a matrix's transpose, with the transform rows a solve combines.
 
     body and pivots are the nonzero rows of h and their pivot columns;
     transform holds the matching rows of u, the only ones a particular
-    solution combines. rows and cols are the shape of the matrix.
+    solution combines (the zero rows of h take coefficient zero), and
+    the rest of u is never built. rows and cols are the shape of the
+    matrix.
     """
 
     rows: int
     cols: int
     body: list
     pivots: list
-    transform: tuple
+    transform: list
 
 
-def factor_columns(m: IntMatrix) -> ColumnFactor:
-    """Factor m once, so that solve_factored can solve m @ x = target per target."""
-    h, u = hnf(m.transpose())
-    body = [row for row in h.entries if any(row)]
-    return ColumnFactor(m.rows, m.cols, body,
-                        list(map(_pivot, body)),
-                        u.entries[:len(body)])
+def factor_columns(columns: Sequence[Sequence[int]], rows: int) -> ColumnFactor:
+    """Factor the rows x len(columns) matrix with these columns once, for solve_factored.
+
+    The columns are the rows of the transpose, so they go to _hermite
+    as they are, with a log; only the transform rows of h's nonzero
+    rows are multiplied out of it. body, pivots and transform are
+    bit-identical to those rows of hnf of the transpose. Entries are
+    not checked: columns must hold trusted ints, each of length rows.
+    """
+    log = []
+    body = [tuple(row) for row in _hermite([list(col) for col in columns], rows, log) if any(row)]
+    return ColumnFactor(rows, len(columns), body, list(map(_pivot, body)),
+                        _transform_rows(log, len(columns), len(body)))
 
 
 def solve_factored(factor: ColumnFactor, target: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """solve_columns against a factored matrix: one back-substitution and one product."""
+    """solve_columns against a factored matrix.
+
+    One back-substitution against the body gives the coefficients, and
+    the kept transform rows are summed, each weighted by its nonzero
+    coefficient.
+    """
     if len(target) != factor.rows:
         raise ValueError(f"target length {len(target)} does not match {factor.rows} rows")
     coeffs, residue = _reduce_against(factor.body, factor.pivots, target)
     if coeffs is None or any(residue):
         return None
-    # Zero rows of h take coefficient zero, so only the body's transform rows are summed.
-    return tuple(sum(c * row[j] for c, row in zip(coeffs, factor.transform))
-                 for j in range(factor.cols))
+    x = [0] * factor.cols
+    for c, row in zip(coeffs, factor.transform):
+        if c:
+            x = [a + c * b for a, b in zip(x, row)]
+    return tuple(x)
 
 
 def solve_columns(m: IntMatrix, target: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -556,4 +631,4 @@ def solve_columns(m: IntMatrix, target: Sequence[int]) -> Optional[tuple[int, ..
     factor_columns and solve_factored are its two halves, for callers
     that solve against one matrix many times.
     """
-    return solve_factored(factor_columns(m), target)
+    return solve_factored(factor_columns(m.transpose().entries, m.rows), target)

@@ -146,3 +146,35 @@ def test_internal_exceptions_exit_3_with_one_line(tmp_path, capsys, monkeypatch,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"internal error: {exc!r}\n"
+
+
+# Trusted non-simplicial input whose full cone list holds the maximal cones only,
+# so no ray has its 1-cone; ray 4 lies inside the cone (0, 1).
+NO_RAY_CONES = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]],
+                "maximal_cones": [[0, 4, 1], [1, 2], [2, 3], [3, 0]],
+                "cones": [[0, 4, 1], [1, 2], [2, 3], [3, 0]],
+                "metadata": {"trust": True, "assert_complete": True}}
+
+
+@pytest.mark.parametrize("command", ["report", "decompose", "relations"])
+def test_full_cone_list_without_a_ray_cone_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(NO_RAY_CONES))
+    assert main([command, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 1-cone of ray 0 missing from the full cone list\n"
+
+
+def test_full_cone_list_names_the_first_ray_without_its_cone(tmp_path, capsys):
+    data = copy.deepcopy(NO_RAY_CONES)
+    data["cones"] += [[0], [1], [2], [3]]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["findings"] == ["1-cone of ray 4 missing from the full cone list"]
+    # With every 1-cone listed, the trusted fan loads.
+    data["cones"].append([4])
+    path.write_text(json.dumps(data))
+    assert main(["relations", str(path)]) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import itertools
 import random
@@ -136,8 +137,9 @@ class TestLevelsOnDemand:
                     assert profile.contributing[0] == ()
 
     def test_non_simplicial_codim0_star_still_contributes(self):
-        rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
-        full = [(0, 1, 2, 3), (0, 1, 3), (0, 2), (1, 2), (0,), (1,), (2,)]
+        # A square pyramid: one full-dimensional cone on four extremal rays.
+        rays = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+        full = [(0, 1, 2, 3), (0, 1), (1, 2), (2, 3), (0, 3), (0,), (1,), (2,), (3,)]
         fan = build_fan(3, rays, [(0, 1, 2, 3)], cones=full, trust=True)
         assert not fan.simplicial
         cone = fan.cone((0, 1, 2, 3))
@@ -629,9 +631,9 @@ class TestLocalDecompose:
         factored, solved = [], []
         real_factor, real_solve = filtration_module.factor_columns, filtration_module.solve_factored
 
-        def counting_factor(m):
-            factored.append(m)
-            return real_factor(m)
+        def counting_factor(*args):
+            factored.append(args)
+            return real_factor(*args)
 
         def counting_solve(factor, target):
             solved.append(target)
@@ -655,6 +657,38 @@ class TestLocalDecompose:
         local_decompose(fan, (0,) * 7)
         assert len(factored) == 1
         assert len(solved) == len(multi_star) + 1
+
+    # Grown fans (catalog fan, chain seed, subdivisions) of 12-14 rays whose
+    # multi-star relations go through the factorization of the stacked
+    # ray-star kernels, with 5-11 xgcd steps in each; no catalog fan does.
+    GROWN = (("p3", 1, 10), ("p3", 2, 9), ("p2xp1", 1, 9), ("p2xp1", 2, 7),
+             ("sigma_c", 1, 9), ("sigma_c", 2, 8))
+
+    def test_grown_fan_pieces_are_pinned(self, monkeypatch):
+        intlin_module = importlib.import_module("fanlat.intlin")
+        real_factor, real_xgcd = filtration_module.factor_columns, intlin_module.xgcd
+        xgcd_steps = []
+
+        def counting_factor(*args):
+            calls = []
+            monkeypatch.setattr(intlin_module, "xgcd", lambda a, b: calls.append(1) or real_xgcd(a, b))
+            try:
+                return real_factor(*args)
+            finally:
+                monkeypatch.setattr(intlin_module, "xgcd", real_xgcd)
+                xgcd_steps.append(len(calls))
+
+        monkeypatch.setattr(filtration_module, "factor_columns", counting_factor)
+        digest = hashlib.sha256()
+        for name, seed, steps in self.GROWN:
+            fan = _subdivision_chain(name, seed, steps)[-1]
+            for r in rel_lattice(fan).basis_rows:
+                dec = local_decompose(fan, r)
+                self.verify(fan, r, dec)
+                digest.update(repr((name, seed, r, sorted(dec.pieces.items()))).encode())
+        assert len(xgcd_steps) == len(self.GROWN) and min(xgcd_steps) >= 5
+        assert digest.hexdigest() == (
+            "58897d845c2dfcb906656e8cb51c52ee75d4df3857dfc382e4357bc862c92234")
 
     def test_relation_outside_penultimate_level(self):
         fan = hexagon_fan()

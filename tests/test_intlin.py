@@ -4,6 +4,7 @@ import random
 import pytest
 
 import oracles
+import fanlat.intlin as intlin_module
 from fanlat.intlin import (IntMatrix, Sublattice, coefficients_in, factor_columns, hnf,
                            hnf_basis, integer_kernel, lattice_equal, lattice_sum,
                            matrix_rank, member, member_by_enumeration,
@@ -45,6 +46,23 @@ class TestHNF:
     def test_canonical_deterministic(self):
         m = IntMatrix([[3, -1, 2], [4, 4, 0], [-2, 5, 5]])
         assert hnf(m)[0] == hnf(IntMatrix(rows(m)))[0]
+
+    def test_transforms_are_pinned(self):
+        # solve_columns reads its particular solution from u, and other valid
+        # elimination orders give other transforms; this digest of (h, u)
+        # over seeded random matrices holds every step of hnf in place.
+        rng = random.Random(20261019)
+        digest = hashlib.sha256()
+        for _ in range(500):
+            height, width = rng.randint(0, 6), rng.randint(0, 6)
+            bound = rng.choice((1, 9, 10 ** 6))
+            zeros = rng.random()
+            m = IntMatrix([[0 if rng.random() < zeros else rng.randint(-bound, bound)
+                            for _ in range(width)] for _ in range(height)], cols=width)
+            h, u = hnf(m)
+            digest.update(repr((h.entries, u.entries)).encode())
+        assert digest.hexdigest() == (
+            "60578873b1488cf8507df8bc20b8ff83aea114a763b048c25db936b52d3c051c")
 
 
 class TestSNF:
@@ -266,7 +284,7 @@ class TestSolveColumns:
             h = rng.randint(1, 4)
             k = rng.randint(0, 5)
             m = IntMatrix([[rng.randint(-6, 6) for _ in range(k)] for _ in range(h)], cols=k)
-            factor = factor_columns(m)
+            factor = factor_columns(m.transpose().entries, m.rows)
             for _ in range(5):
                 if rng.random() < 0.5:
                     target = m.mul_vector([rng.randint(-3, 3) for _ in range(k)])
@@ -274,9 +292,58 @@ class TestSolveColumns:
                     target = tuple(rng.randint(-6, 6) for _ in range(h))
                 assert solve_factored(factor, target) == solve_columns(m, target)
         with pytest.raises(ValueError):
-            solve_factored(factor_columns(IntMatrix([[1, 2]])), (1, 2))
+            solve_factored(factor_columns([(1,), (2,)], 1), (1, 2))
         with pytest.raises(ValueError):
             solve_columns(IntMatrix([[1, 2]]), (1, 2))
+
+
+def _carried_identity_hnf(m):
+    """The reference transform: _hermite on the rows of [m | I], carrying the identity."""
+    rows = intlin_module._hermite([list(row) + [int(i == j) for j in range(m.rows)]
+                                   for i, row in enumerate(m.entries)], m.cols)
+    return [tuple(row[:m.cols]) for row in rows], [tuple(row[m.cols:]) for row in rows]
+
+
+def _random_matrices(seed, count):
+    """Empty shapes, then random matrices of 0-8 rows and columns with entries
+    up to 10^30, about a third of them of deficient rank."""
+    yield from (IntMatrix.zero(0, 0), IntMatrix.zero(0, 4), IntMatrix.zero(4, 0))
+    rng = random.Random(seed)
+    for _ in range(count):
+        height, width = rng.randint(0, 8), rng.randint(0, 8)
+        bound = rng.choice((1, 9, 10 ** 6, 10 ** 30))
+        if height and width and rng.random() < 0.35:
+            inner = rng.randint(0, min(height, width) - 1)
+            a = IntMatrix([[rng.randint(-3, 3) for _ in range(inner)] for _ in range(height)],
+                          cols=inner)
+            b = IntMatrix([[rng.randint(-bound, bound) for _ in range(width)]
+                           for _ in range(inner)], cols=width)
+            yield a @ b
+        else:
+            zeros = rng.random()
+            yield IntMatrix([[0 if rng.random() < zeros else rng.randint(-bound, bound)
+                              for _ in range(width)] for _ in range(height)], cols=width)
+
+
+class TestTransformsAgainstCarriedIdentity:
+    """The transforms multiplied out of an elimination log equal the ones
+    carried through it as an identity block, bit for bit."""
+
+    def test_hnf(self):
+        for m in _random_matrices(31, 300):
+            h, u = hnf(m)
+            assert (list(h.entries), list(u.entries)) == _carried_identity_hnf(m)
+
+    def test_factor_columns(self):
+        # The columns of the factored matrix are the rows of m.
+        for m in _random_matrices(32, 300):
+            h, u = _carried_identity_hnf(m)
+            body = [row for row in h if any(row)]
+            factor = factor_columns(m.entries, m.cols)
+            assert factor.rows == m.cols and factor.cols == m.rows
+            assert factor.body == body
+            assert factor.pivots == [row.index(next(filter(None, row))) for row in body]
+            assert factor.transform == u[:len(body)]
 
 
 def test_huge_entries_stay_exact():
