@@ -1,7 +1,12 @@
 """Rational fan data model.
 
 Cones are stored combinatorially as sorted tuples of ray indices;
-geometry is reconstructed from the primitive ray vectors on demand.
+geometry is reconstructed from the primitive ray vectors on demand. A
+simplicial fan stores only its maximal cones, the generators that lie in
+no other; its other faces are listed the first time a cone is looked up
+or the cones are read, so what reads only the maximal cones (relations,
+the class group, validation, star sets) never lists them. Trusted
+non-simplicial input keeps its explicit cone list.
 Simplicial input is validated exactly on one path: the ridge
 certificate of is_complete accepts a complete fan at once, and any other
 simplicial input is checked with one exact separating-hyperplane
@@ -70,58 +75,94 @@ class QuotientFan:
     warnings: tuple[str, ...]
 
 
-class FaceMap(dict):
-    """A fan's cones by sorted ray indices, with the cache of what they alone determine.
+class FaceMap:
+    """A fan's maximal cones, with the cache of what the cones alone determine.
 
-    The sorted and maximal cones, the star sets of each codimension, the
-    star supports of each codimension per support policy, the cones a
-    random stellar draw picks from and the face map of each stellar
-    subdivision depend on the cones and not on the ray vectors. They are
-    kept here, so every fan built on one face map shares them: the
-    stellar subdivisions of one cone, whatever their new ray, and the
-    unimodular images of a fan. Nothing changes a face map once a fan
-    holds it.
+    A simplicial fan is fixed by its maximal cones (Cox-Little-Schenck,
+    *Toric Varieties*, ch. 3), so they are all a face map stores: the
+    cones of the given list that lie in no other, in cones order
+    (maximal_of). Everything else lives in memo and is built on first
+    use. The dict of every cone by its sorted ray indices is one entry
+    ("faces"): a simplicial fan builds it from its maximal cones the
+    first time a cone is looked up or listed, and trusted non-simplicial
+    input stores its explicit cone list there at construction. The
+    sorted cones, the star sets of each codimension, the star supports
+    of each codimension per support policy, the cones a random stellar
+    draw picks from and the face map of each stellar subdivision are
+    other entries. They depend on the cones and not on the ray vectors,
+    so every fan built on one face map shares them: the stellar
+    subdivisions of one cone, whatever their new ray, and the unimodular
+    images of a fan. Nothing changes a face map once a fan holds it.
     """
 
-    __slots__ = ("memo",)
+    __slots__ = ("maximal", "memo")
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.memo = {}
+    def __init__(self, cones: Iterable[ConeRef], faces: Optional[dict] = None):
+        self.maximal = maximal_of(cones)
+        self.memo = {} if faces is None else {"faces": faces}
+
+
+def maximal_of(cones: Iterable[ConeRef]) -> tuple[ConeRef, ...]:
+    """The cones of the list that lie in no other cone of it, once each, in cones order.
+
+    From the most rays down, a cone is kept iff no kept cone holding its
+    first ray contains it. A kept cone is filed under each of its rays
+    and under the empty key that the zero cone looks up, so the zero
+    cone is kept only if nothing else is.
+    """
+    filed = {}  # (ray,), or () for the zero cone -> ray sets of kept cones
+    kept = []
+    for c in sorted(cones, key=lambda c: len(c.ray_indices), reverse=True):
+        key = c.ray_indices
+        if not any(ray_set.issuperset(key) for ray_set in filed.get(key[:1], ())):
+            ray_set = frozenset(key)
+            for first in [()] + [(i,) for i in key]:
+                filed.setdefault(first, []).append(ray_set)
+            kept.append(c)
+    return tuple(sorted(kept, key=ConeRef.sort_key))
+
+
+def simplicial_face_map(rank: int, generators: Iterable[tuple[int, ...]]) -> FaceMap:
+    """The face map of the simplicial fan whose cones are the faces of the generators."""
+    return FaceMap(ConeRef(c, len(c), rank - len(c)) for c in ((), *generators))
 
 
 class Fan:
-    """Validated rational fan: primitive rays plus a face-closed cone set.
+    """Validated rational fan: primitive rays plus the maximal cones of a face-closed cone set.
 
-    Nothing changes rays or the cone set after construction (stellar
+    Nothing changes rays or cones after construction (stellar
     subdivision and unimodular images build new fans), so the
     invariants derived from them are computed once and kept in one of
-    two caches. What the cones alone determine (the sorted and maximal
-    cones, the star sets of each codimension, the star supports per
-    policy as ray bitmasks, the draw candidates and the face map of each
-    subdivided cone) lives on the fan's FaceMap and is shared by every
-    fan built on it. What also reads the rays lives in the fan's private
-    cache: the ray matrix, the determinant of the sorted rays of each
-    full-dimensional maximal cone (read by is_complete), completeness,
-    the relation lattice, star kernels (keyed by their sorted support,
-    so cones and policies with one support share one kernel), filtration
-    levels (which stop at the cached relation lattice) and the factored
-    ray-star system that local_decompose solves against. A new fan's
-    private cache starts empty, except that build_fan stores the
-    determinants of its simplicial check. A stellar subdivision's starts
-    empty too; it is built on the one face map of its subdivided cone,
-    which its siblings at that cone share, and a unimodular image on its
-    fan's face map.
+    two caches. What the cones alone determine (the cone dict that
+    cone(), has_cone(), zero_cone, cones, == and hash() read, which a
+    simplicial fan builds from its maximal cones on first lookup; the
+    sorted cones, the star sets of each codimension, the star supports
+    per policy as ray bitmasks, the draw candidates and the face map of
+    each subdivided cone) lives on the fan's FaceMap and is shared by
+    every fan built on it. The maximal cones themselves are the face
+    map's, so reading them builds nothing. What also reads the rays
+    lives in the fan's private cache: the ray matrix, the determinant
+    of the sorted rays of each full-dimensional maximal cone (read by
+    is_complete), completeness, the relation lattice, star kernels
+    (keyed by their sorted support, so cones and policies with one
+    support share one kernel), filtration levels (which stop at the
+    cached relation lattice) and the factored ray-star system that
+    local_decompose solves against. A new fan's private cache starts
+    empty, except that build_fan stores the determinants of its
+    simplicial check. A stellar subdivision's starts empty too; it is
+    built on the one face map of its subdivided cone, which its
+    siblings at that cone share, and a unimodular image on its fan's
+    face map.
     """
 
     __slots__ = ("rank", "rays", "simplicial", "name", "asserted_complete",
                  "validation", "warnings", "_cones", "_memo")
 
-    def __init__(self, rank, rays, cones, simplicial, name=None,
+    def __init__(self, rank, rays, face_map: FaceMap, simplicial, name=None,
                  asserted_complete=None, validation="full", warnings=()):
         self.rank = rank
         self.rays = tuple(tuple(v) for v in rays)
-        self._cones = cones if isinstance(cones, FaceMap) else FaceMap(cones)
+        self._cones = face_map
         self.simplicial = simplicial
         self.name = name
         self.asserted_complete = asserted_complete
@@ -146,49 +187,32 @@ class Fan:
             value = memo[key] = build()
             return value
 
+    def _cone_dict(self) -> dict:
+        """Every cone by its sorted ray indices; a simplicial fan lists them on first use."""
+        return self._face_cached("faces", lambda: simplicial_faces(self.rank, self.maximal_cones))
+
     @property
     def cones(self) -> tuple[ConeRef, ...]:
         return self._face_cached("cones", lambda: tuple(
-            sorted(self._cones.values(), key=ConeRef.sort_key)))
+            sorted(self._cone_dict().values(), key=ConeRef.sort_key)))
 
     @property
     def maximal_cones(self) -> tuple[ConeRef, ...]:
-        return self._face_cached("maximal", self._find_maximal)
-
-    def _find_maximal(self) -> tuple[ConeRef, ...]:
-        # From the most rays down, a cone is maximal iff no maximal cone
-        # found so far that holds its first ray contains it.
-        found = [[] for _ in self.rays]
-        maximal = set()
-        for c in sorted(self.cones, key=lambda c: len(c.ray_indices), reverse=True):
-            key = c.ray_indices
-            if not key:
-                if not maximal:
-                    maximal.add(key)
-                continue
-            for ray_set in found[key[0]]:
-                if ray_set.issuperset(key):
-                    break
-            else:
-                ray_set = frozenset(key)
-                for i in key:
-                    found[i].append(ray_set)
-                maximal.add(key)
-        return tuple(c for c in self.cones if c.ray_indices in maximal)
+        return self._cones.maximal
 
     @property
     def zero_cone(self) -> ConeRef:
-        return self._cones[()]
+        return self._cone_dict()[()]
 
     def cone(self, ray_indices: Iterable[int]) -> ConeRef:
         key = tuple(sorted(ray_indices))
         try:
-            return self._cones[key]
+            return self._cone_dict()[key]
         except KeyError:
             raise FanValidationError(f"no cone with ray indices {key}") from None
 
     def has_cone(self, ray_indices: Iterable[int]) -> bool:
-        return tuple(sorted(ray_indices)) in self._cones
+        return tuple(sorted(ray_indices)) in self._cone_dict()
 
     def ray_matrix(self) -> IntMatrix:
         """rank x nrays matrix whose columns are the primitive ray vectors."""
@@ -198,23 +222,23 @@ class Fan:
         if not isinstance(other, Fan):
             return NotImplemented
         return (self.rank == other.rank and self.rays == other.rays
-                and set(self._cones) == set(other._cones))
+                and self._cone_dict().keys() == other._cone_dict().keys())
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.rays, frozenset(self._cones)))
+        return hash((self.rank, self.rays, frozenset(self._cone_dict())))
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return (f"Fan{label}(rank {self.rank}, {len(self.rays)} rays, "
-                f"{len(self._cones)} cones)")
+                f"{len(self.maximal_cones)} maximal cones)")
 
 
-def simplicial_faces(rank: int, maximal_cones: Sequence[tuple[int, ...]]) -> FaceMap:
-    """Face map of a simplicial fan: every subset of a maximal cone, by sorted key."""
-    cone_map = FaceMap({(): ConeRef((), 0, rank)})
+def simplicial_faces(rank: int, maximal_cones: Sequence[ConeRef]) -> dict:
+    """The cones of a simplicial fan by sorted key: every subset of a maximal cone."""
+    cone_map = {(): ConeRef((), 0, rank)}
     for c in maximal_cones:
-        for size in range(1, len(c) + 1):
-            for face in combinations(c, size):
+        for size in range(1, len(c.ray_indices) + 1):
+            for face in combinations(c.ray_indices, size):
                 if face not in cone_map:
                     cone_map[face] = ConeRef(face, size, rank - size)
     return cone_map
@@ -237,8 +261,10 @@ def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
 
     Ray entries must be ints, and rays are normalized to primitive
     vectors (a duplicate after normalization is an error). For
-    simplicial input every subset of a maximal cone becomes a face, and
-    unless trust is set the cones are checked exactly to form a fan:
+    simplicial input the fan keeps the generators that lie in no other
+    as its maximal cones; every subset of one is a face, listed only
+    when a cone is first looked up. Unless trust is set the cones are
+    checked exactly to form a fan:
     input that passes the ridge certificate of is_complete is a complete
     fan, and any other input goes through cone_pair_proper on every pair
     of maximal cones. The validation is then "full", or "trusted" with
@@ -277,7 +303,7 @@ def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
 
     dets = {}
     if all(_independent(rank, rays, c, dets) for c in gens):
-        fan = Fan(rank, rays, simplicial_faces(rank, gens), True, name=name,
+        fan = Fan(rank, rays, simplicial_face_map(rank, gens), True, name=name,
                   asserted_complete=assert_complete,
                   validation="trusted" if trust else "full")
         # Every generator of rank rays is a maximal cone, and every
@@ -291,7 +317,7 @@ def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
     if cones is None or not trust:
         raise FanValidationError(
             "non-simplicial input requires an explicit full cone list and trust=True")
-    cone_map = FaceMap({(): ConeRef((), 0, rank)})
+    cone_map = {(): ConeRef((), 0, rank)}
     for c in cones:
         key = tuple(sorted(c))
         for i in key:
@@ -305,7 +331,7 @@ def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
     for i in range(len(rays)):
         if (i,) not in cone_map:
             raise FanValidationError(f"1-cone of ray {i} missing from the full cone list")
-    return Fan(rank, rays, cone_map, False, name=name,
+    return Fan(rank, rays, FaceMap(cone_map.values(), cone_map), False, name=name,
                asserted_complete=assert_complete, validation="trusted",
                warnings=("non-simplicial fan accepted on trust",))
 

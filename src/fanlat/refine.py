@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import FanValidationError, NotARelationError, NotCompleteError, NotSimplicialError
-from .fan import ConeRef, FaceMap, Fan, is_complete, primitive, simplicial_faces
+from .fan import ConeRef, FaceMap, Fan, is_complete, primitive, simplicial_face_map
 from .filtration import _require_relation, filtration
 from .intlin import IntMatrix
 from .lattices import SupportPolicy, rel_lattice
@@ -65,20 +65,21 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
 
     A stellar subdivision of a fan is a fan (Cox-Little-Schenck, *Toric
     Varieties*, 11.1), so the refined fan is not validated again: it is
-    built straight from its simplicial faces (the new ray is primitive,
+    built straight from its maximal cones (the new ray is primitive,
     and each new cone stays simplicial because w has a nonzero
     coefficient on the ray it replaces) and carries over the input's
-    validation level and warnings. Like any new fan it starts with an
+    validation level and warnings. Its other faces are listed only when
+    a cone of it is first looked up. Like any new fan it starts with an
     empty private cache.
 
     The refined face map depends on sigma and not on w. It is worked out
     once per sigma and cached on the input's face map under
     ("subdivision", sigma's ray indices), so every subdivision of sigma,
     whatever its new ray, is built on that one face map and shares its
-    combinatorial cache (sorted and maximal cones, star sets, star
-    masks, draw candidates). Nothing that reads the rays is shared: the
-    refined fan's determinants, relation lattice, kernels and levels are
-    its own.
+    combinatorial cache (maximal cones, cone dict, sorted cones, star
+    sets, star masks, draw candidates). Nothing that reads the rays is
+    shared: the refined fan's determinants, relation lattice, kernels
+    and levels are its own.
     """
     if not fan.simplicial:
         raise NotSimplicialError("stellar subdivision requires a simplicial fan")
@@ -106,7 +107,12 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
 
 
 def _refined_faces(fan: Fan, sigma: ConeRef) -> FaceMap:
-    """The face map of the subdivision of fan at sigma, whose new ray is index len(fan.rays)."""
+    """The face map of the subdivision of fan at sigma, whose new ray is index len(fan.rays).
+
+    Its maximal cones are fan's maximal cones that do not hold sigma,
+    and the joins of the new ray with the facets of sigma in each one
+    that holds sigma; the cone dict is built from them on first lookup.
+    """
     new_index = len(fan.rays)
     sig = set(sigma.ray_indices)
     maximal = []
@@ -117,7 +123,7 @@ def _refined_faces(fan: Fan, sigma: ConeRef) -> FaceMap:
                 maximal.append(tuple(sorted((mset - {rho}) | {new_index})))
         else:
             maximal.append(mc.ray_indices)
-    return simplicial_faces(fan.rank, maximal)
+    return simplicial_face_map(fan.rank, maximal)
 
 
 def refinement_injection(before: Fan, after: Fan, r: Sequence[int]) -> tuple[int, ...]:

@@ -157,3 +157,18 @@ def star_bruteforce(cones, tau):
 def maximal_bruteforce(cones):
     """Cones of the list that lie strictly inside no other cone of the list, in list order."""
     return [c for c in cones if not any(set(c) < set(other) for other in cones)]
+
+
+def faces_bruteforce(generators):
+    """Every subset of a generator, the empty one included, once each, in cones order.
+
+    generators are plain lists of ray indices. A subset is kept as a
+    sorted tuple, and the list is ordered by size and then
+    lexicographically, which is cones order on a simplicial fan.
+    """
+    faces = {()}
+    for g in generators:
+        rays = sorted(set(g))
+        for mask in range(1 << len(rays)):
+            faces.add(tuple(i for k, i in enumerate(rays) if mask >> k & 1))
+    return sorted(faces, key=lambda face: (len(face), face))

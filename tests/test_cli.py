@@ -1,5 +1,6 @@
 import importlib
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -598,6 +599,43 @@ class TestScanBuildsOnlyWhatItReads:
         # The certificates read the star-set tables, which a simplicial fan
         # fills from its maximal cones without building a single star.
         assert stars == []
+
+
+def _projective_space_file(tmp_path, n):
+    """A fan file of P^n: the unit vectors and minus their sum, any n of them a maximal cone."""
+    rays = [[int(i == j) for j in range(n)] for i in range(n)] + [[-1] * n]
+    maximal = [[j for j in range(n + 1) if j != i] for i in range(n + 1)]
+    path = tmp_path / f"p{n}.json"
+    path.write_text(json.dumps({"rank": n, "rays": rays, "maximal_cones": maximal}))
+    return str(path)
+
+
+class TestFacesOnDemand:
+    """Commands that read only the maximal cones never list a fan's faces.
+
+    P^n has 2^n faces per maximal cone, so listing them at load made
+    these commands exponential in the rank.
+    """
+
+    @pytest.mark.parametrize("n", [20, 22])
+    def test_projective_space(self, capsys, tmp_path, monkeypatch, n):
+        path = _projective_space_file(tmp_path, n)
+        loaded = []
+
+        def recording_load_fan(*args, **kwargs):
+            loaded.append(load_fan(*args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli_module, "load_fan", recording_load_fan)
+        reports = {}
+        for command in ("relations", "classgroup", "validate", "decompose"):
+            start = time.perf_counter()
+            code, reports[command], err = run_json(capsys, command, path)
+            assert time.perf_counter() - start < 5, command
+            assert code == 0, (command, err)
+        assert "validation: full" in reports["validate"]["findings"]
+        assert len(loaded) == 4
+        assert all("faces" not in fan._cones.memo for fan in loaded)
 
 
 def test_report_computes_each_depth_once(capsys, p2xp1_file, monkeypatch):

@@ -10,7 +10,7 @@ import fanlat.refine as refine_module
 import oracles
 from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError, NotSimplicialError
-from fanlat.fan import (Fan, apply_unimodular, build_fan, is_complete, localize,
+from fanlat.fan import (apply_unimodular, build_fan, is_complete, localize,
                         primitive, star, star_sets)
 from fanlat.intlin import IntMatrix, Sublattice, hnf, sublattice_index
 from fanlat.qsolve import cone_pair_proper, det, fm_feasible, solve_unique
@@ -153,6 +153,39 @@ class TestStar:
         assert ray_set == (0, 1, 2)
 
 
+# The generator lists the catalog fans are built from, written out here
+# so that the face-list oracle reads nothing of the fan under test.
+CATALOG_GENERATORS = {
+    "p2": [(0, 1), (1, 2), (2, 0)],
+    "p1xp1": [(0, 1), (1, 2), (2, 3), (3, 0)],
+    "p3": [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+    "p2xp1": [(0, 1, 3), (1, 2, 3), (2, 0, 3), (0, 1, 4), (1, 2, 4), (2, 0, 4)],
+    # p2 subdivided at (0, 1) by the ray (1, 1), whose index is 3.
+    "blowup_p2": [(1, 2), (2, 0), (1, 3), (0, 3)],
+    "halfplane2": [(0, 1)],
+    "sigma_c": [(0, 1, 2), (0, 2, 3), (0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)],
+}
+
+
+def _cone_keys(fan):
+    return [c.ray_indices for c in fan.cones]
+
+
+def _stellar_generators(generators, sigma, new_index):
+    """The generators after ray new_index is inserted into cone sigma.
+
+    Each generator that holds sigma gives way to its joins with the new
+    ray over the facets of sigma; the others stay.
+    """
+    out = []
+    for g in generators:
+        if set(sigma) <= set(g):
+            out.extend(tuple(sorted(set(g) - {rho} | {new_index})) for rho in sigma)
+        else:
+            out.append(tuple(g))
+    return out
+
+
 def _assert_stars_and_maximal_match_oracles(fan):
     keys = [c.ray_indices for c in fan.cones]
     assert [c.ray_indices for c in fan.maximal_cones] == oracles.maximal_bruteforce(keys)
@@ -218,16 +251,26 @@ def _chained_subdivisions(name, seed, steps):
 
 
 class TestIncidenceIndex:
-    """Stars, star sets and maximal cones, checked by brute force."""
+    """Cone lists, stars, star sets and maximal cones, checked by brute force."""
 
     @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
     def test_catalog_fans(self, entry):
+        assert _cone_keys(entry.fan) == oracles.faces_bruteforce(CATALOG_GENERATORS[entry.name])
         _assert_stars_and_maximal_match_oracles(entry.fan)
 
     def test_chained_stellar_subdivisions(self):
-        # Every refinement builds its stars afresh from its own cones.
-        for fan in _chained_subdivisions("p2xp1", 909, 20):
-            _assert_stars_and_maximal_match_oracles(fan)
+        # Every refinement builds its stars afresh from its own cones, and
+        # lists the faces of the generators the chain works out here.
+        for name, seed in [("p2xp1", 909), ("sigma_c", 31), ("p3", 7)]:
+            rng = random.Random(seed)
+            fan, generators = catalog_entry(name).fan, CATALOG_GENERATORS[name]
+            for step in range(20):
+                draw = refine_module.random_stellar_draw(fan, rng)
+                assert draw is not None
+                generators = _stellar_generators(generators, draw[0].ray_indices, len(fan.rays))
+                fan = refine_module.stellar_subdivide(fan, *draw)
+                assert _cone_keys(fan) == oracles.faces_bruteforce(generators), (name, step)
+                _assert_stars_and_maximal_match_oracles(fan)
 
     def test_star_sets_match_bruteforce(self):
         fans = [entry.fan for entry in catalog()]
@@ -246,6 +289,7 @@ class TestIncidenceIndex:
 
     def test_rank_zero_fan(self):
         fan = build_fan(0, [], [()])
+        assert _cone_keys(fan) == oracles.faces_bruteforce([()]) == [()]
         _assert_stars_and_maximal_match_oracles(fan)
         assert fan.maximal_cones == (fan.zero_cone,)
         assert star(fan, fan.zero_cone) == ((fan.zero_cone,), ())
@@ -275,6 +319,7 @@ class TestIncidenceIndex:
     def test_unusual_generator_lists(self, rank, rays, generators, maximal):
         for trust in (False, True):
             fan = build_fan(rank, rays, generators, trust=trust)
+            assert _cone_keys(fan) == oracles.faces_bruteforce(generators)
             _assert_stars_and_maximal_match_oracles(fan)
             assert [c.ray_indices for c in fan.maximal_cones] == maximal
             assert is_complete(fan) is complete_by_ridge_solves(fan)
@@ -486,14 +531,6 @@ class TestApplyUnimodular:
         assert "complete" not in image._memo and "maximal_dets" not in image._memo
         assert is_complete(image)
         assert image._memo["maximal_dets"] is not fan._memo["maximal_dets"]
-
-    def test_plain_cone_dict_is_copied(self):
-        fan = catalog_entry("p2").fan
-        cones = dict(fan._cones)
-        copy = Fan(fan.rank, fan.rays, cones, True)
-        assert copy._cones == cones and copy._cones is not cones
-        assert copy._cones.memo == {}
-        assert copy.maximal_cones == fan.maximal_cones
 
 
 RANK3_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1),

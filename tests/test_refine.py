@@ -272,7 +272,7 @@ class TestSharedFaceMap:
         assert len({id(fan._cones) for fan in siblings}) == 1
         assert siblings[0]._cones is not parent._cones
         for refined in siblings:
-            keys = [c.ray_indices for c in refined._cones.values()]
+            keys = [c.ray_indices for c in refined.cones]
             fresh = build_fan(refined.rank, refined.rays, oracles.maximal_bruteforce(keys))
             assert fresh._cones is not refined._cones
             assert refined.cones == fresh.cones
