@@ -86,13 +86,15 @@ class FaceMap:
     ("faces"): a simplicial fan builds it from its maximal cones the
     first time a cone is looked up or listed, and trusted non-simplicial
     input stores its explicit cone list there at construction. The
-    sorted cones, the star sets of each codimension, the star supports
-    of each codimension per support policy, the cones a random stellar
-    draw picks from and the face map of each stellar subdivision are
-    other entries. They depend on the cones and not on the ray vectors,
-    so every fan built on one face map shares them: the stellar
-    subdivisions of one cone, whatever their new ray, and the unimodular
-    images of a fan. Nothing changes a face map once a fan holds it.
+    sorted cones, the star sets of each codimension, the exclusive star
+    supports of each codimension (the inclusive ones are the star sets),
+    the distinct star supports of each codimension per support policy as
+    ray bitmasks, the cones a random stellar draw picks from and the
+    face map of each stellar subdivision are other entries. They depend
+    on the cones and not on the ray vectors, so every fan built on one
+    face map shares them: the stellar subdivisions of one cone, whatever
+    their new ray, and the unimodular images of a fan. Nothing changes a
+    face map once a fan holds it.
     """
 
     __slots__ = ("maximal", "memo")
@@ -136,8 +138,9 @@ class Fan:
     two caches. What the cones alone determine (the cone dict that
     cone(), has_cone(), zero_cone, cones, == and hash() read, which a
     simplicial fan builds from its maximal cones on first lookup; the
-    sorted cones, the star sets of each codimension, the star supports
-    per policy as ray bitmasks, the draw candidates and the face map of
+    sorted cones, the star sets of each codimension, the exclusive star
+    supports of each codimension, the distinct star supports per policy
+    as ray bitmasks, the draw candidates and the face map of
     each subdivided cone) lives on the fan's FaceMap and is shared by
     every fan built on it. The maximal cones themselves are the face
     map's, so reading them builds nothing. What also reads the rays

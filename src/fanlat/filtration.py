@@ -8,9 +8,13 @@ some complete fans whose relations are not all locally generated).
 
 Levels are built on demand, each from the one below, and cached on the
 fan, so a depth query builds only the levels up to the answer. Every
-star set comes from the fan's star-set table of its codimension
-(fan.star_sets), and each star kernel is asked by its support, so cones
-and policies with one support share one kernel. Four exact shortcuts
+star support comes from the table of its policy and codimension
+(lattices.star_supports, which is the fan's star-set table under the
+inclusive policy), and each star kernel is asked by its support, so
+cones and policies with one support share one kernel. A level reads the
+supports alone and looks up no cone, so on a simplicial fan it never
+lists the faces; only the contributing cones are looked up, and only
+those that are reported. Four exact shortcuts
 skip work: on a simplicial fan a codim-0 cone's star kernel is zero
 (the cone is its own star and its rays are independent); a level that
 gains no generator is the level below it, which makes level n always
@@ -54,8 +58,8 @@ from .errors import (InternalCheckError, NotARelationError, NotCompleteError,
 from .fan import ConeRef, Fan, is_complete, star_sets
 from .intlin import (ColumnFactor, Sublattice, _hermite, factor_columns,
                      lattice_equal, member, solve_factored)
-from .lattices import (RelLattice, SupportPolicy, _cached_rel_lattice, _policy_support,
-                       _star_kernel, _star_kernel_rank, rel_lattice)
+from .lattices import (RelLattice, SupportPolicy, _cached_rel_lattice, _star_kernel,
+                       _star_kernel_rank, rel_lattice, star_supports)
 
 
 @dataclass(frozen=True)
@@ -174,7 +178,7 @@ def _build_level(fan: Fan, policy: SupportPolicy, k: int) -> Sublattice:
     # relation lattice; canonical bases are unique, so the sum is the one
     # lattice_sum would give.
     rows, grown = list(below.basis_rows), False
-    for support in dict.fromkeys(support for _, support in _codim_supports(fan, policy, k)):
+    for support in dict.fromkeys(_level_supports(fan, policy, k).values()):
         kernel = _star_kernel(fan, support).sublattice
         if kernel.rank:
             rows = [row for row in _hermite(rows + list(kernel.basis_rows), m) if any(row)]
@@ -189,29 +193,27 @@ def _contributing(fan: Fan, policy: SupportPolicy, k: int) -> tuple[tuple[ConeRe
     """(cone, star-kernel rank) for the codim-k cones with a nonzero star kernel.
 
     Each distinct support's rank is read once, from the rank of its rays
-    (_star_kernel_rank), so no kernel is built.
+    (_star_kernel_rank), so no kernel is built. Only a cone it reports
+    is looked up.
     """
     ranks, found = {}, []
-    for cone, support in _codim_supports(fan, policy, k):
+    for key, support in _level_supports(fan, policy, k).items():
         rank = ranks.get(support)
         if rank is None:
             rank = ranks[support] = _star_kernel_rank(fan, support)
         if rank:
-            found.append((cone, rank))
+            found.append((fan.cone(key), rank))
     return tuple(found)
 
 
-def _codim_supports(fan: Fan, policy: SupportPolicy, k: int) -> list:
-    """(cone, star support) for every nonzero codim-k cone, in cones order.
+def _level_supports(fan: Fan, policy: SupportPolicy, k: int) -> dict:
+    """The star supports whose kernels level k adds: star_supports(fan, policy, k).
 
     The star of a codim-0 cone of a simplicial fan is the cone alone,
     whose rays are independent, so its kernel is zero under both
     policies and no support is listed.
     """
-    if not k and fan.simplicial:
-        return []
-    return [(fan.cone(key), _policy_support(rays, key, policy))
-            for key, rays in star_sets(fan, k).items()]
+    return {} if not k and fan.simplicial else star_supports(fan, policy, k)
 
 
 def _star_masks(fan: Fan, policy: SupportPolicy, k: int) -> tuple[int, ...]:
@@ -219,9 +221,9 @@ def _star_masks(fan: Fan, policy: SupportPolicy, k: int) -> tuple[int, ...]:
 
     They depend on the cones alone, so they are cached on the fan's face map.
     """
-    return fan._face_cached(("star_masks", policy, k), lambda: tuple(dict.fromkeys(
-        sum(1 << i for i in _policy_support(rays, key, policy))
-        for key, rays in star_sets(fan, k).items())))
+    return fan._face_cached(("star_masks", policy, k), lambda: tuple(
+        sum(1 << i for i in support)
+        for support in dict.fromkeys(star_supports(fan, policy, k).values())))
 
 
 def _require_relation(fan: Fan, r: Sequence[int]) -> tuple[int, ...]:

@@ -7,8 +7,11 @@ the defining cone participate (inclusive) or not (exclusive). Local
 lattices are re-embedded into the global ray coordinates by extension
 with zeros, so they can be compared and summed there.
 
-A cone's support under a policy is read from the fan's star-set table
-of the cone's codimension (fan.star_sets). A star kernel depends on its
+A cone's support under a policy is its entry in star_supports, one
+table per policy and codimension: the fan's star-set table of that
+codimension (fan.star_sets) under the inclusive policy, and that table
+with each cone's own rays dropped under the exclusive one, cached on the
+fan's face map. A star kernel depends on its
 support alone, the sorted rays it may touch, and not on the cone or the
 policy that named it. So it is cached on the fan under ("kernel",
 support): cones with equal star sets share one kernel, and so do the two
@@ -29,8 +32,8 @@ from typing import Optional, Sequence
 
 from .errors import FanValidationError
 from .fan import ConeRef, Fan, localize, star_sets
-from .intlin import (IntMatrix, Sublattice, _kernel_basis, integer_kernel, matrix_rank, snf,
-                     sublattice_index)
+from .intlin import (IntMatrix, Sublattice, _kernel_basis, hnf_basis, integer_kernel, matrix_rank,
+                     snf, sublattice_index)
 
 
 class SupportPolicy(enum.Enum):
@@ -137,22 +140,30 @@ def star_support(fan: Fan, tau: ConeRef, policy: SupportPolicy) -> tuple[int, ..
     """The sorted rays a relation supported on the star of tau may touch.
 
     Those are the star's rays under the inclusive policy and the star's
-    rays outside tau under the exclusive one, read from the fan's star
-    sets of tau's codimension. The zero cone, which the filtration never
-    reads, has none.
+    rays outside tau under the exclusive one: tau's entry in
+    star_supports of its codimension. The zero cone, which the
+    filtration never reads, has none.
     """
     if not tau.ray_indices:
         raise FanValidationError("the zero cone has no star-supported relation lattice")
     tau = fan.cone(tau.ray_indices)
-    return _policy_support(star_sets(fan, tau.codim)[tau.ray_indices], tau.ray_indices, policy)
+    return star_supports(fan, policy, tau.codim)[tau.ray_indices]
 
 
-def _policy_support(star_rays: tuple[int, ...], cone_rays: tuple[int, ...],
-                    policy: SupportPolicy) -> tuple[int, ...]:
-    """The sorted star rays that star_support keeps for a cone with these rays under policy."""
-    if policy is SupportPolicy.EXCLUSIVE:
-        return tuple(i for i in star_rays if i not in cone_rays)
-    return star_rays
+def star_supports(fan: Fan, policy: SupportPolicy, k: int) -> dict:
+    """The star support of every nonzero codim-k cone under policy, keyed by its ray indices.
+
+    The keys come in cones order. Under the inclusive policy a support
+    is the cone's star set, so the table is star_sets(fan, k) itself.
+    The exclusive table drops each cone's own rays from its star set;
+    it is derived once and cached on the fan's face map, like the star
+    sets, so every fan built on that face map shares it.
+    """
+    sets = star_sets(fan, k)
+    if policy is SupportPolicy.INCLUSIVE:
+        return sets
+    return fan._face_cached(("star_supports", policy, k), lambda: {
+        key: tuple(i for i in rays if i not in key) for key, rays in sets.items()})
 
 
 def _star_kernel(fan: Fan, support: tuple[int, ...]) -> RelLattice:
@@ -190,16 +201,17 @@ def rel_lattice_localized(fan: Fan, tau: ConeRef) -> RelLattice:
 def class_group(fan: Fan) -> ClassGroup:
     """Cokernel of the dual ray map, as free rank plus invariant factors.
 
-    The map sends a dual vector to its pairings with every ray; its
-    cokernel is computed from the Smith normal form. Requires the rays
-    to span rationally.
+    The map sends a dual vector to its pairings with every ray, so its
+    matrix is the m x n matrix of the rays as rows. A unimodular row
+    transform keeps its invariant factors, so the Smith normal form is
+    taken of the nonzero rows of its Hermite form: n rows when the rays
+    span rationally, which the class group requires. The transforms of
+    that n x n form are not read, and the m x m one is never built.
     """
-    m = len(fan.rays)
-    a = IntMatrix(fan.rays, cols=fan.rank)  # m x n, rows pair dual vectors with rays
-    s, _, _ = snf(a)
-    diag = [s.entries[i][i] for i in range(min(s.rows, s.cols))]
-    rank = sum(1 for d in diag if d)
-    if rank < fan.rank:
+    n = fan.rank
+    rows = [row for row in hnf_basis(IntMatrix._of(fan.rays, n)).entries if any(row)]
+    if len(rows) < n:
         raise FanValidationError("rays do not span the ambient lattice rationally")
-    torsion = tuple(d for d in diag if d > 1)
-    return ClassGroup(free_rank=m - rank, torsion=torsion)
+    s, _, _ = snf(IntMatrix._of(rows, n))
+    torsion = tuple(d for d in (s.entries[i][i] for i in range(n)) if d > 1)
+    return ClassGroup(free_rank=len(fan.rays) - n, torsion=torsion)

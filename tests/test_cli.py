@@ -611,7 +611,7 @@ def _projective_space_file(tmp_path, n):
 
 
 class TestFacesOnDemand:
-    """Commands that read only the maximal cones never list a fan's faces.
+    """Commands that read only the maximal cones and star sets never list a fan's faces.
 
     P^n has 2^n faces per maximal cone, so listing them at load made
     these commands exponential in the rank.
@@ -628,13 +628,14 @@ class TestFacesOnDemand:
 
         monkeypatch.setattr(cli_module, "load_fan", recording_load_fan)
         reports = {}
-        for command in ("relations", "classgroup", "validate", "decompose"):
+        for command, *options in (("relations",), ("classgroup",), ("validate",), ("decompose",),
+                                  ("report", "--policy", "inclusive")):
             start = time.perf_counter()
-            code, reports[command], err = run_json(capsys, command, path)
+            code, reports[command], err = run_json(capsys, command, path, *options)
             assert time.perf_counter() - start < 5, command
             assert code == 0, (command, err)
         assert "validation: full" in reports["validate"]["findings"]
-        assert len(loaded) == 4
+        assert len(loaded) == 5
         assert all("faces" not in fan._cones.memo for fan in loaded)
 
 

@@ -8,7 +8,8 @@ import pytest
 
 import oracles
 from fanlat.corpus import catalog, catalog_entry
-from fanlat.errors import NotARelationError, NotCompleteError, NotLocallyGeneratedError
+from fanlat.errors import (InternalCheckError, NotARelationError, NotCompleteError,
+                           NotLocallyGeneratedError)
 from fanlat.fan import build_fan, star, star_sets
 from fanlat.filtration import (check_generation, depth, filtration,
                                local_decompose)
@@ -239,6 +240,7 @@ class TestStarSetTable:
         # Both policies reach the relation lattice at level 2, so level 3
         # reads no table (codim 3 has no nonzero cone anyway).
         assert sorted(args for _, args in tables) == [(1,), (2,)]
+        assert "faces" not in fan._cones.memo
         assert star_sets(fan, 3) == {}
 
 
@@ -704,3 +706,15 @@ class TestLocalDecompose:
     def test_rejects_non_relation(self):
         with pytest.raises(NotARelationError):
             local_decompose(catalog_entry("p2").fan, (1, 0, 0))
+
+    @pytest.mark.parametrize("name, r, pieces, message", [
+        ("p2", (1, 1, 1), {0: (1, 0, 0)}, "piece at ray 0 is not a relation"),
+        # p1xp1's rays 0 and 2 are opposite, so the star of ray 0 misses ray 2.
+        ("p1xp1", (1, 0, 1, 0), {0: (1, 0, 1, 0)}, "piece at ray 0 leaves its star support"),
+        ("p2", (1, 1, 1), {0: (1, 1, 1), 1: (1, 1, 1)}, "pieces do not sum to the relation"),
+    ])
+    def test_post_check_rejects_bad_pieces(self, name, r, pieces, message):
+        fan = catalog_entry(name).fan
+        with pytest.raises(InternalCheckError, match=message):
+            filtration_module._verify_decomposition(
+                r, pieces, star_sets(fan, fan.rank - 1), fan.ray_matrix())

@@ -1,14 +1,16 @@
+import math
 import random
 
 import pytest
 
 import oracles
 from fanlat import intlin as intlin_module
+from fanlat import lattices as lattices_module
 from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError
-from fanlat.fan import apply_unimodular, build_fan
+from fanlat.fan import apply_unimodular, build_fan, primitive
 from fanlat.filtration import filtration
-from fanlat.intlin import IntMatrix, Sublattice, hnf, lattice_equal, member
+from fanlat.intlin import IntMatrix, Sublattice, hnf, lattice_equal, member, snf
 from fanlat.lattices import (SupportPolicy, class_group, ray_lattice,
                              rel_lattice, rel_lattice_internal,
                              rel_lattice_localized, rel_lattice_star, star_support)
@@ -153,6 +155,56 @@ class TestClassGroup:
         fan = build_fan(2, [(1, 0)], [(0,)])
         with pytest.raises(FanValidationError, match="span"):
             class_group(fan)
+
+    @staticmethod
+    def _full_matrix_class_group(fan):
+        """(free rank, torsion) from the Smith form of the whole m x n ray matrix; None if rank-deficient."""
+        s, _, _ = snf(IntMatrix(fan.rays, cols=fan.rank))
+        diag = [s.entries[i][i] for i in range(min(s.rows, s.cols))]
+        rank = sum(1 for d in diag if d)
+        if rank < fan.rank:
+            return None
+        return len(fan.rays) - rank, tuple(d for d in diag if d > 1)
+
+    def test_matches_the_full_matrix_smith_form(self):
+        # Rays drawn from a lattice of rank at most n, so that some sets do
+        # not span; each ray is its own cone, and class_group reads only rays.
+        rng = random.Random(2024)
+        deficient = 0
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            span = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            rays = set()
+            for _ in range(rng.randint(0, 7)):
+                v = [sum(rng.randint(-3, 3) * b[j] for b in span) for j in range(n)]
+                if any(v):
+                    rays.add(primitive(v))
+            rays = sorted(rays)
+            fan = build_fan(n, rays, [(i,) for i in range(len(rays))], trust=True)
+            expected = self._full_matrix_class_group(fan)
+            if expected is None:
+                deficient += 1
+                with pytest.raises(FanValidationError, match="span"):
+                    class_group(fan)
+            else:
+                cg = class_group(fan)
+                assert (cg.free_rank, cg.torsion) == expected, rays
+        assert 0 < deficient < 300
+
+    def test_smith_form_is_taken_of_an_n_by_n_matrix(self, monkeypatch):
+        rays = sorted([(1, k) for k in range(-9, 10)] + [(-1, k) for k in range(-9, 10)]
+                      + [(0, 1), (0, -1)], key=lambda v: math.atan2(v[1], v[0]))
+        fan = build_fan(2, rays, [(i, (i + 1) % 40) for i in range(40)])
+        shapes = []
+
+        def recording_snf(m):
+            shapes.append((m.rows, m.cols))
+            return snf(m)
+
+        monkeypatch.setattr(lattices_module, "snf", recording_snf)
+        cg = class_group(fan)
+        assert (cg.free_rank, cg.torsion) == (38, ())
+        assert shapes == [(2, 2)]
 
 
 class TestStructuralInvariants:
