@@ -29,7 +29,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import FanValidationError, InternalCheckError, NotSimplicialError
-from .intlin import IntMatrix, hnf_basis, matrix_rank, snf
+from .intlin import IntMatrix, hnf_basis, integer_kernel, matrix_rank
 from .qsolve import _echelon, cone_pair_proper, det, in_simplicial_cone
 
 
@@ -146,11 +146,11 @@ class Fan:
     map's, so reading them builds nothing. What also reads the rays
     lives in the fan's private cache: the ray matrix, the determinant
     of the sorted rays of each full-dimensional maximal cone (read by
-    is_complete), completeness, the relation lattice, star kernels
-    (keyed by their sorted support, so cones and policies with one
-    support share one kernel), filtration levels (which stop at the
-    cached relation lattice) and the factored ray-star system that
-    local_decompose solves against. A new fan's private cache starts
+    is_complete), completeness, the ray lattice, the relation lattice,
+    star kernels (keyed by their sorted support, so cones and policies
+    with one support share one kernel), filtration levels (which stop
+    at the cached relation lattice) and the factored ray-star system
+    that local_decompose solves against. A new fan's private cache starts
     empty, except that build_fan stores the determinants of its
     simplicial check. A stellar subdivision's starts empty too; it is
     built on the one face map of its subdivided cone, which its
@@ -463,15 +463,18 @@ def _covers_once(fan: Fan) -> bool:
 def localize(fan: Fan, tau: ConeRef) -> QuotientFan:
     """The star of tau pushed to the quotient modulo tau's saturated span.
 
-    The projection is read off the Smith normal form of the matrix of
-    tau's ray vectors: the rows of the left transform past the rank
-    form a basis of the maps vanishing on the saturated span.
+    The projection's rows are the canonical HNF basis of the characters
+    vanishing on tau, {y in Z^n : y . v = 0 for every ray v of tau}:
+    the integer kernel of the matrix with tau's rays as rows, that is
+    the relations among their coordinate vectors. That lattice is
+    saturated and its orthogonal complement is tau's saturated span, so
+    the projection maps Z^n onto Z^(n - dim tau), and it depends on no
+    elimination order. A star ray outside tau that projects to zero
+    lies in tau's span, which only trusted input that is not a fan can
+    hold: that input is rejected.
     """
     tau = fan.cone(tau.ray_indices)
-    tmat = IntMatrix.from_columns([fan.rays[i] for i in tau.ray_indices], height=fan.rank)
-    s, u, _ = snf(tmat)
-    d = sum(1 for i in range(min(s.rows, s.cols)) if s.entries[i][i])
-    proj = IntMatrix([u.row(i) for i in range(d, fan.rank)], cols=fan.rank)
+    proj = integer_kernel(IntMatrix._of([fan.rays[i] for i in tau.ray_indices], fan.rank)).basis
     for i in tau.ray_indices:
         if any(proj.mul_vector(fan.rays[i])):
             raise InternalCheckError("projection does not vanish on the cone's rays")
@@ -482,8 +485,8 @@ def localize(fan: Fan, tau: ConeRef) -> QuotientFan:
     for i in outside:
         img = proj.mul_vector(fan.rays[i])
         if not any(img):
-            raise InternalCheckError(
-                f"star ray {i} outside the cone projects to zero")
+            raise FanValidationError(
+                f"star ray {i} lies in the span of the cone {tau.ray_indices}: not a fan")
         images.append(primitive(img))
     if len(set(images)) < len(images):
         warnings.append("distinct star rays share a primitive image; "
@@ -492,7 +495,7 @@ def localize(fan: Fan, tau: ConeRef) -> QuotientFan:
     qcones = frozenset(
         tuple(sorted(pos[i] for i in c.ray_indices if i in pos)) for c in star_cones)
     return QuotientFan(
-        base=fan, tau=tau, quotient_rank=fan.rank - d, projection=proj,
+        base=fan, tau=tau, quotient_rank=proj.rows, projection=proj,
         rays=tuple(images), ray_origin=tuple(outside), cones=qcones,
         warnings=tuple(warnings))
 

@@ -1,14 +1,14 @@
 """Exact integer linear algebra on arbitrary-precision integers.
 
 Hermite and Smith normal forms, integer kernels, saturation, and
-canonical sublattice arithmetic. Every elimination runs on one gcd step,
-_clear_below: _hermite applies it to rows, and snf, which always returns
-its unimodular transforms, to the rows of [s | u] and of [s^T | w^T].
-The transforms that hnf and factor_columns return have one mechanism:
-_hermite runs on the data columns alone and logs its row operations,
-and _transform_rows multiplies the rows the caller asked for out of the
-log. hnf asks for all of them and factor_columns for those of the
-nonzero rows only; hnf_basis runs the same elimination with no log.
+canonical sublattice arithmetic. Every elimination is one loop,
+_hermite, on one gcd step, _clear_below; snf runs _hermite on the rows
+of s and on the rows of s^T in turn until s is diagonal. The transforms
+that hnf, snf and factor_columns return have one mechanism: _hermite
+runs on the data columns alone and logs its row operations, and
+_transform_rows multiplies the rows the caller asked for out of the
+log. hnf and snf ask for all of them and factor_columns for those of
+the nonzero rows only; hnf_basis runs the same elimination with no log.
 matrix_rank counts the pivots of qsolve's fraction-free echelon. The
 row-style HNF (positive pivots, entries above each pivot reduced into
 [0, pivot), zero rows trailing) is the single canonical form of the
@@ -282,72 +282,39 @@ def hnf_basis(m: IntMatrix) -> IntMatrix:
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: returns (s, u, w) with s = u @ m @ w.
 
-    s is diagonal with nonnegative entries d_1 | d_2 | ...; u and w are
-    unimodular.
+    s is diagonal with nonnegative entries d_1 | d_2 | ..., zeros
+    trailing; u and w are unimodular. s is brought to row HNF, and its
+    transpose to row HNF, in turn until it is diagonal (Kannan-Bachem,
+    *SIAM J. Comput.* 8, 1979); while some d_i does not divide a later
+    d_j, column j is added to column i and the turns start again. The
+    row passes log into one elimination log and the column passes,
+    with those additions, into another, and _transform_rows multiplies
+    u and w^T out of them. Pivots leave _hermite positive.
     """
     R, C = m.rows, m.cols
+    log_u, log_w = [], []
     s = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
-    w = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
-
-    def clear_at(t):
-        # Alternate the gcd step on the rows of [s | u], which clears column
-        # t of s below t, and on the rows of [s^T | w^T], which clears row t
-        # of s right of t, until both are zero.
-        while True:
-            col_dirty = any(s[i][t] for i in range(t + 1, R))
-            if col_dirty:
-                rows = [a + b for a, b in zip(s, u)]
-                _clear_below(rows, t, t)
-                s[:], u[:] = [row[:C] for row in rows], [row[C:] for row in rows]
-            row_dirty = any(s[t][j] for j in range(t + 1, C))
-            if row_dirty:
-                cols = [list(col) for col in zip(*s, *w)]
-                _clear_below(cols, t, t)
-                rows = [list(row) for row in zip(*cols)]
-                s[:], w[:] = rows[:R], rows[R:]
-            if not col_dirty and not row_dirty:
-                return
-
-    limit = min(R, C)
-    t = 0
-    while t < limit:
-        piv = None
-        for i in range(t, R):
-            for j in range(t, C):
-                if s[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
+    while True:
+        _hermite(s, C, log_u)
+        s = _transposed(_hermite(_transposed(s, C), R, log_w), R)
+        if any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
+            continue
+        diag = [s[i][i] for i in range(min(R, C)) if s[i][i]]
+        pair = next(((i, j) for i in range(len(diag)) for j in range(i + 1, len(diag))
+                     if diag[j] % diag[i]), None)
+        if pair is None:
             break
-        pi, pj = piv
-        if pi != t:
-            s[t], s[pi] = s[pi], s[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for row in s + w:
-                row[t], row[pj] = row[pj], row[t]
-        clear_at(t)
-        t += 1
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(limit):
-            if s[i][i] < 0:
-                s[i] = [-x for x in s[i]]
-                u[i] = [-x for x in u[i]]
-        for i in range(limit - 1):
-            a, b = s[i][i], s[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                for row in s + w:
-                    row[i] += row[i + 1]
-                clear_at(i)
-                changed = True
-                break
+        i, j = pair
+        s[j][i] = diag[j]
+        log_w.append((_SHEAR, j, i, -1))
+    u = _transform_rows(log_u, R, R)
+    w = _transposed(_transform_rows(log_w, C, C), C)
     return IntMatrix._of(s, C), IntMatrix._of(u, R), IntMatrix._of(w, C)
+
+
+def _transposed(rows: list, width: int) -> list[list[int]]:
+    """The rows of the transpose of a matrix with these rows, each of length width."""
+    return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(width)]
 
 
 def matrix_rank(m: IntMatrix) -> int:

@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 
 from .errors import FanValidationError
 from .fan import ConeRef, Fan, localize, star_sets
-from .intlin import (IntMatrix, Sublattice, _kernel_basis, hnf_basis, integer_kernel, matrix_rank,
-                     snf, sublattice_index)
+from .intlin import (IntMatrix, Sublattice, _kernel_basis, integer_kernel, matrix_rank, snf,
+                     sublattice_index)
 
 
 class SupportPolicy(enum.Enum):
@@ -89,8 +89,11 @@ class ClassGroup:
 
 
 def ray_lattice(fan: Fan) -> RayLattice:
-    sub = Sublattice(fan.rank, fan.rays)
-    return RayLattice(sublattice=sub, index_in_ambient=sublattice_index(sub))
+    """The sublattice the rays generate, computed once per fan and cached on it."""
+    def build():
+        sub = Sublattice(fan.rank, fan.rays)
+        return RayLattice(sublattice=sub, index_in_ambient=sublattice_index(sub))
+    return fan._cached("ray_lattice", build)
 
 
 _REL_LATTICE = "rel_lattice"
@@ -204,14 +207,15 @@ def class_group(fan: Fan) -> ClassGroup:
     The map sends a dual vector to its pairings with every ray, so its
     matrix is the m x n matrix of the rays as rows. A unimodular row
     transform keeps its invariant factors, so the Smith normal form is
-    taken of the nonzero rows of its Hermite form: n rows when the rays
-    span rationally, which the class group requires. The transforms of
-    that n x n form are not read, and the m x m one is never built.
+    taken of the canonical basis of the ray lattice (ray_lattice), the
+    nonzero rows of that matrix's Hermite form: n rows when the rays
+    span rationally, which the class group requires. The torsion of
+    Cl is that of Z^n modulo the ray lattice.
     """
     n = fan.rank
-    rows = [row for row in hnf_basis(IntMatrix._of(fan.rays, n)).entries if any(row)]
-    if len(rows) < n:
+    basis = ray_lattice(fan).sublattice.basis
+    if basis.rows < n:
         raise FanValidationError("rays do not span the ambient lattice rationally")
-    s, _, _ = snf(IntMatrix._of(rows, n))
+    s, _, _ = snf(basis)
     torsion = tuple(d for d in (s.entries[i][i] for i in range(n)) if d > 1)
     return ClassGroup(free_rank=len(fan.rays) - n, torsion=torsion)

@@ -178,3 +178,21 @@ def test_full_cone_list_names_the_first_ray_without_its_cone(tmp_path, capsys):
     data["cones"].append([4])
     path.write_text(json.dumps(data))
     assert main(["relations", str(path)]) == 0
+
+
+# Trusted input that is not a fan: one "cone" spanned by a whole plane, so
+# rays 0 and 2 span a line. Only non-simplicial input can put a star ray
+# outside a cone into the cone's span.
+PLANE_AS_CONE = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                 "maximal_cones": [[0, 1, 2, 3]],
+                 "cones": [[0], [1], [2], [3], [0, 1, 2, 3]],
+                 "metadata": {"trust": True}}
+
+
+def test_localize_on_trusted_input_that_is_not_a_fan_exits_1(tmp_path, capsys):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(PLANE_AS_CONE))
+    assert main(["localize", str(path), "--cone", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: star ray 2 lies in the span of the cone (0,): not a fan\n"

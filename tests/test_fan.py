@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from fanlat.errors import FanValidationError, NotSimplicialError
 from fanlat.fan import (apply_unimodular, build_fan, is_complete, localize,
                         primitive, star, star_sets)
 from fanlat.intlin import IntMatrix, Sublattice, hnf, sublattice_index
+from fanlat.lattices import rel_lattice_localized
 from fanlat.qsolve import cone_pair_proper, det, fm_feasible, solve_unique
 
 P5_RAYS = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
@@ -493,11 +495,42 @@ class TestLocalize:
         assert q.quotient_rank == 1
         assert sorted(q.rays) == [(-1,), (1,)]
 
+    def test_projection_is_the_hermite_basis_of_the_annihilator(self):
+        fan = catalog_entry("p2xp1").fan  # ray 3 is (0, 0, 1)
+        q = localize(fan, fan.cone((3,)))
+        assert q.projection.entries == ((1, 0, 0), (0, 1, 0))
+        assert q.rays == ((1, 0), (0, 1), (-1, -1))
+
     def test_zero_cone_identity_localization(self):
         fan = catalog_entry("p2").fan
         q = localize(fan, fan.zero_cone)
         assert q.quotient_rank == 2
         assert len(q.rays) == 3
+
+    def test_projection_is_the_canonical_annihilator_on_every_cone(self):
+        # Every cone of the catalog fans and of two seeded grown fans. The
+        # digest of the localized relation bases was recorded when the
+        # projection was read off a Smith transform: the relations do not
+        # depend on the basis chosen for the quotient.
+        fans = [entry.fan for entry in catalog()]
+        for base, seed in (("p2xp1", 1), ("sigma_c", 2)):
+            rng, fan = random.Random(seed), catalog_entry(base).fan
+            for _ in range(8):
+                fan = refine_module.stellar_subdivide(
+                    fan, *refine_module.random_stellar_draw(fan, rng))
+            fans.append(fan)
+        digest = hashlib.sha256()
+        for fan in fans:
+            for cone in fan.cones:
+                q = localize(fan, cone)
+                assert oracles.is_hnf([list(row) for row in q.projection.entries])
+                assert q.quotient_rank == q.projection.rows == fan.rank - cone.dim
+                for i in cone.ray_indices:
+                    assert not any(q.projection.mul_vector(fan.rays[i]))
+                lat = rel_lattice_localized(fan, cone)
+                digest.update(repr((lat.ray_labels, lat.basis_rows)).encode())
+        assert digest.hexdigest() == (
+            "4827437b0b10ae7b600062d02c3376905d365f7f390f6eaa99b03d6899e16142")
 
 
 class TestApplyUnimodular:

@@ -70,7 +70,7 @@ RUNS = {
     ("depth", "p2xp1", "--relation", "0,0,0,1,1", "--policy", "both"):
         (0, "af48d3e65f8b66f6fa4956d64966b11fe37ae7df6ba23216e445f78e28e9b828"),
     ("localize", "p2xp1", "--cone", "3"):
-        (0, "d27ed019669d5e73e129028956404f4efb4cd2c46f113ef5c4c2736866fc3fc8"),
+        (0, "bfccf368a755589651ae2726ebbae1f1d0ccdd46ff351b20144540b9d6074eab"),
     ("localize", "p3", "--cone", "0,1"):
         (0, "22e238f6650fae1793fa701c9f46553c7062f70383983b377df7095c3f86dc7d"),
     ("decompose", "p2"):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -6,9 +7,11 @@ import pytest
 import oracles
 from fanlat import intlin as intlin_module
 from fanlat import lattices as lattices_module
+from fanlat.cli import main
 from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError
 from fanlat.fan import apply_unimodular, build_fan, primitive
+from fanlat.fanio import fan_to_dict
 from fanlat.filtration import filtration
 from fanlat.intlin import IntMatrix, Sublattice, hnf, lattice_equal, member, snf
 from fanlat.lattices import (SupportPolicy, class_group, ray_lattice,
@@ -191,7 +194,7 @@ class TestClassGroup:
                 assert (cg.free_rank, cg.torsion) == expected, rays
         assert 0 < deficient < 300
 
-    def test_smith_form_is_taken_of_an_n_by_n_matrix(self, monkeypatch):
+    def test_smith_form_is_taken_of_an_n_by_n_matrix(self, monkeypatch, tmp_path, capsys):
         rays = sorted([(1, k) for k in range(-9, 10)] + [(-1, k) for k in range(-9, 10)]
                       + [(0, 1), (0, -1)], key=lambda v: math.atan2(v[1], v[0]))
         fan = build_fan(2, rays, [(i, (i + 1) % 40) for i in range(40)])
@@ -205,6 +208,23 @@ class TestClassGroup:
         cg = class_group(fan)
         assert (cg.free_rank, cg.torsion) == (38, ())
         assert shapes == [(2, 2)]
+        # A report brings the ray matrix to Hermite form once, for the ray
+        # lattice, whose basis class_group reads.
+        ray_rows = [list(v) for v in rays]
+        real_hermite = intlin_module._hermite
+        of_the_rays = []
+
+        def recording_hermite(rows, width, log=None):
+            of_the_rays.append(rows == ray_rows)
+            return real_hermite(rows, width, log)
+
+        monkeypatch.setattr(intlin_module, "_hermite", recording_hermite)
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(fan_to_dict(fan)))
+        assert main(["report", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["class_group"] == {
+            "free_rank": 38, "torsion": []}
+        assert of_the_rays.count(True) == 1
 
 
 class TestStructuralInvariants:
