@@ -26,7 +26,7 @@ from .fanio import (REPORT_VERSION, SharedList, dump_report, enc_basis, enc_dept
                     enc_int, enc_vector, fan_to_dict, load_fan)
 from .filtration import FiltrationProfile, check_generation, depth, filtration, local_decompose
 from .intlin import member_by_enumeration
-from .lattices import SupportPolicy, class_group, ray_lattice, rel_lattice, rel_lattice_localized
+from .lattices import SupportPolicy, class_group, quotient_rel_lattice, ray_lattice, rel_lattice
 from .refine import compare_depths, conjecture_scan, stellar_subdivide
 
 
@@ -248,7 +248,7 @@ def cmd_decompose(fan: Fan, args) -> dict:
 def cmd_localize(fan: Fan, args) -> dict:
     tau = fan.cone(args.cone)
     q = localize(fan, tau)
-    local = rel_lattice_localized(fan, tau)
+    local = quotient_rel_lattice(q)
     return {
         "cone": list(tau.ray_indices),
         "quotient_rank": q.quotient_rank,

@@ -1,7 +1,7 @@
 """Exact integer linear algebra on arbitrary-precision integers.
 
 Hermite and Smith normal forms, integer kernels, saturation, and
-canonical sublattice arithmetic. Every elimination is one loop,
+canonical sublattice arithmetic. Every Hermite elimination is one loop,
 _hermite, on one gcd step, _clear_below; snf runs _hermite on the rows
 of s and on the rows of s^T in turn until s is diagonal. The transforms
 that hnf, snf and factor_columns return have one mechanism: _hermite
@@ -13,11 +13,10 @@ matrix_rank counts the pivots of qsolve's fraction-free echelon. The
 row-style HNF (positive pivots, entries above each pivot reduced into
 [0, pivot), zero rows trailing) is the single canonical form of the
 package: two sublattices are equal iff their canonical bases are
-identical tuples. integer_kernel chooses the kernel algorithm: a kernel
-of rank 0 or 1 among at most n + 1 vectors of Z^n is read from one
-fraction-free elimination; any other takes two Hermite eliminations, of
-[m^T | I] over the columns of m^T, then of the identity parts of its
-rows that vanish on m^T.
+identical tuples. Every integer kernel is read by _kernel_basis in one
+sweep over the vectors from last to first, which inserts each into an
+echelon basis of the later ones with _clear_below and builds the
+canonical basis of the relations directly, with no Hermite elimination.
 
 Entries are type-checked where they enter, in the public IntMatrix and
 Sublattice constructors and IntMatrix.from_columns; every matrix derived
@@ -33,7 +32,6 @@ right-hand side.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import EnumerationLimitError
@@ -145,11 +143,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({list(map(list, self.entries))!r})"
-
-
-def _with_identity(rows: Iterable[Sequence[int]], n: int) -> list[list[int]]:
-    """The rows of [a | I], for the n rows of a."""
-    return [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
 
 
 def _clear_below(rows: list[list[int]], r: int, c: int, log: Optional[list] = None) -> None:
@@ -417,51 +410,48 @@ def integer_kernel(m: IntMatrix) -> Sublattice:
 def _kernel_basis(vectors: Sequence[Sequence[int]], n: int) -> list:
     """The canonical basis of the integer relations among vectors in Z^n.
 
-    At most n + 1 vectors try _kernel_of_corank_one first. Otherwise the
-    HNF of [V | I], V with the vectors as rows, over its first n columns
-    (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4)
-    leaves a kernel basis in the identity parts of the rows that vanish
-    on V, and an HNF of those parts alone makes it canonical.
+    Let L be the lattice of relations x with x_1 v_1 + ... + x_k v_k = 0.
+    Column j is a pivot of L's HNF basis iff v_j lies in the rational
+    span of v_{j+1}..v_k, and its pivot d_j is the least d > 0 with
+    d v_j in their Z-span. So one sweep over the vectors from last to
+    first builds the basis directly (Cohen, *A Course in Computational
+    Algebraic Number Theory*, 2.4). It keeps an echelon basis of the
+    Z-span of the vectors already swept, each row [w | x] carrying the
+    combination x of the vectors that gives w, and inserts [v_j | e_j]
+    with _clear_below at each nonzero column. If the v-part of the row
+    does not vanish, the row joins the echelon basis at its first
+    nonzero column. If it vanishes, its combination is a relation with
+    entry +-d_j at j; made positive there, it is reduced in ascending
+    order against the relations found before whose pivot exceeds 1.
+    A vector with d_j = 1 lies in the Z-span already built, so it is
+    eliminated by shears alone: it enters no later combination, its
+    column is already zero above its pivot, and the reduction skips it.
     """
     k = len(vectors)
-    basis = _kernel_of_corank_one(vectors, n) if k <= n + 1 else None
-    if basis is not None:
-        return basis
-    rows = _hermite(_with_identity(vectors, k), n)
-    return _hermite([row[n:] for row in rows if not any(row[:n])], k)
-
-
-def _kernel_of_corank_one(vectors: Sequence[Sequence[int]], n: int) -> Optional[list]:
-    """The canonical kernel basis of the n x k matrix with these columns, if of rank k or k - 1.
-
-    One fraction-free elimination to echelon form (qsolve._echelon),
-    which skips a column without a pivot. No free column means the
-    kernel is zero. One free column f: the last pivot d is, up to sign,
-    the determinant of the pivot columns in the rows that hold the
-    pivots, so by Cramer's rule the kernel vector with d at f is
-    integral, and back-substitution finds it with exact divisions. Made
-    primitive with its leading entry positive, it is the canonical HNF
-    basis of the rank-one kernel. Returns None when two or more columns
-    are free.
-    """
-    k = len(vectors)
-    if not k:
-        return []
-    rows = [list(row) for row in zip(*vectors)]
-    pivot_cols, _, scale = _echelon(rows, k)
-    if len(pivot_cols) == k:
-        return []
-    if len(pivot_cols) < k - 1:
-        return None
-    free = next(c for c in range(k) if c not in pivot_cols)
-    vec = [0] * k
-    vec[free] = scale
-    for row, c in zip(reversed(rows[:len(pivot_cols)]), reversed(pivot_cols)):
-        vec[c] = -sum(a * b for a, b in zip(row[c + 1:], vec[c + 1:])) // row[c]
-    g = gcd(*vec)
-    if next(filter(None, vec)) < 0:
-        g = -g
-    return [tuple(x // g for x in vec)]
+    span = {}    # pivot column -> echelon row [w | x] of the vectors swept
+    kernel = {}  # pivot j -> canonical relation with d_j at j
+    coarse = []  # the pivots j with d_j > 1, ascending
+    for j in range(k - 1, -1, -1):
+        row = list(vectors[j]) + [0] * k
+        row[n + j] = 1
+        for c in range(n):
+            if row[c]:
+                if c not in span:
+                    span[c] = row
+                    break
+                pair = [span[c], row]
+                _clear_below(pair, 0, c)
+                span[c], row = pair
+        else:
+            x = row[n:] if row[n + j] > 0 else [-a for a in row[n:]]
+            for p in coarse:
+                q = x[p] // kernel[p][p]
+                if q:
+                    x = [a - q * b for a, b in zip(x, kernel[p])]
+            kernel[j] = x
+            if x[j] > 1:
+                coarse.insert(0, j)
+    return [tuple(kernel[j]) for j in sorted(kernel)]
 
 
 def lattice_sum(parts: Iterable[Sublattice], ambient_rank: Optional[int] = None) -> Sublattice:

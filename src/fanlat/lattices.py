@@ -16,8 +16,8 @@ support alone, the sorted rays it may touch, and not on the cone or the
 policy that named it. So it is cached on the fan under ("kernel",
 support): cones with equal star sets share one kernel, and so do the two
 policies where their supports coincide. The kernel of a support's rays
-comes from the kernel routine of intlin, which picks the closed form or
-the Hermite eliminations, and is zero-extended to the fan's rays. The
+comes from intlin's one kernel routine, a sweep over the rays from last
+to first, and is zero-extended to the fan's rays. The
 rank of a star kernel needs no kernel: it is the support size minus the
 rank of its rays (_star_kernel_rank), one fraction-free elimination.
 Kernels are cached per fan only: a stellar subdivision is a new fan and
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import FanValidationError
-from .fan import ConeRef, Fan, localize, star_sets
+from .fan import ConeRef, Fan, QuotientFan, localize, star_sets
 from .intlin import (IntMatrix, Sublattice, _kernel_basis, integer_kernel, matrix_rank, snf,
                      sublattice_index)
 
@@ -191,12 +191,16 @@ def rel_lattice_internal(fan: Fan, tau: ConeRef) -> RelLattice:
 
 
 def rel_lattice_localized(fan: Fan, tau: ConeRef) -> RelLattice:
-    """Relation lattice of the localized (quotient) fan at tau.
+    """Relation lattice of the localized (quotient) fan at tau."""
+    return quotient_rel_lattice(localize(fan, tau))
+
+
+def quotient_rel_lattice(q: QuotientFan) -> RelLattice:
+    """Relation lattice of a quotient fan, as localize builds it.
 
     Coordinates are the quotient rays; labels carry the base-ray index
     each quotient ray came from.
     """
-    q = localize(fan, tau)
     cols = IntMatrix.from_columns(q.rays, height=q.quotient_rank)
     return RelLattice(ray_labels=q.ray_origin, sublattice=integer_kernel(cols))
 

@@ -339,6 +339,21 @@ class TestLocalize:
         assert report["quotient_rank"] == 3
         assert report["localized_relations"]["rank"] == 2
 
+    def test_one_run_builds_the_quotient_fan_once(self, capsys, monkeypatch, p2xp1_file):
+        real = importlib.import_module("fanlat.fan").localize
+        calls = []
+
+        def recorder(fan, tau):
+            calls.append(tau.ray_indices)
+            return real(fan, tau)
+
+        for module in ("fanlat.cli", "fanlat.lattices"):
+            monkeypatch.setattr(importlib.import_module(module), "localize", recorder)
+        code, report, _ = run_json(capsys, "localize", p2xp1_file, "--cone", "3")
+        assert code == 0
+        assert report["localized_relations"]["ray_labels"] == [0, 1, 2]
+        assert calls == [(3,)]
+
 
 class TestSubdivide:
     def test_blowup(self, capsys, p2_file, tmp_path):

@@ -8,14 +8,14 @@ import pytest
 
 import oracles
 from fanlat.corpus import catalog, catalog_entry
-from fanlat.errors import (InternalCheckError, NotARelationError, NotCompleteError,
-                           NotLocallyGeneratedError)
+from fanlat.errors import (FanValidationError, InternalCheckError, NotARelationError,
+                           NotCompleteError, NotLocallyGeneratedError)
 from fanlat.fan import build_fan, star, star_sets
 from fanlat.filtration import (check_generation, depth, filtration,
                                local_decompose)
 from fanlat.intlin import IntMatrix, Sublattice, integer_kernel, lattice_equal, member
-from fanlat.lattices import (SupportPolicy, _cached_rel_lattice, rel_lattice, rel_lattice_star,
-                             star_support)
+from fanlat.lattices import (SupportPolicy, _cached_rel_lattice, class_group, rel_lattice,
+                             rel_lattice_star, star_support)
 from fanlat.refine import random_stellar_draw, stellar_subdivide
 
 fan_module = importlib.import_module("fanlat.fan")
@@ -463,6 +463,51 @@ class TestContributingRanks:
                                 expected.append((cone, rank))
                         assert got[k] == tuple(expected), (fan, warm, policy, k)
         assert brute > 100
+
+
+def _relabelled(fan, perm):
+    """The fan whose ray i is ray perm[i] of fan, built afresh from its relabelled cones."""
+    label = {old: new for new, old in enumerate(perm)}
+
+    def relabel(rays):
+        return sorted(label[i] for i in rays)
+
+    return build_fan(fan.rank, [fan.rays[i] for i in perm],
+                     [relabel(mc.ray_indices) for mc in fan.maximal_cones],
+                     cones=[relabel(c.ray_indices) for c in fan.cones], trust=True)
+
+
+def _class_group_or_none(fan):
+    try:
+        return class_group(fan)
+    except FanValidationError:
+        return None
+
+
+class TestRayRelabelling:
+    """Relabelling the rays changes no invariant, though every kernel reads its vectors in order."""
+
+    def test_level_ranks_depths_and_class_group(self):
+        fans = [entry.fan for entry in catalog()]
+        for name, seed in (("p2", 11), ("p3", 12), ("p2xp1", 13), ("blowup_p2", 14)):
+            fans.extend(_subdivision_chain(name, seed, steps=6))
+        rng = random.Random(2026)
+        for fan in map(_fresh, fans):
+            basis = rel_lattice(fan).basis_rows
+            expected = {policy: (filtration(fan, policy).level_ranks,
+                                 [filtration(fan, policy).depth_of(r) for r in basis])
+                        for policy in (INC, EXC)}
+            group = _class_group_or_none(fan)
+            for _ in range(3):
+                perm = list(range(len(fan.rays)))
+                rng.shuffle(perm)
+                image = _relabelled(fan, perm)
+                for policy, (ranks, depths) in expected.items():
+                    profile = filtration(image, policy)
+                    assert profile.level_ranks == ranks, (fan, perm, policy)
+                    assert [profile.depth_of([r[i] for i in perm]) for r in basis] == depths, (
+                        fan, perm, policy)
+                assert _class_group_or_none(image) == group, (fan, perm)
 
 
 def test_member_agrees_with_oracle_on_catalog():

@@ -12,6 +12,8 @@ of a `validate` report does not depend on where the test runs.
 
 import hashlib
 import json
+import math
+import time
 
 import pytest
 
@@ -146,3 +148,19 @@ def test_command_stdout_matches_digest(capsys, tmp_path, monkeypatch, run):
     code = main([command, f"{name}.json", *extra])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == RUNS[run]
+
+
+def test_relations_on_a_404_ray_list_matches_digest(capsys, tmp_path):
+    # The complete rank-2 fan on (+-1, k) for |k| <= 100 and (0, +-1),
+    # its cones consecutive by angle: a relation lattice of rank 402.
+    rays = sorted([(s, k) for s in (1, -1) for k in range(-100, 101)] + [(0, 1), (0, -1)],
+                  key=lambda v: math.atan2(v[1], v[0]))
+    path = tmp_path / "rays404.json"
+    path.write_text(json.dumps({"rank": 2, "rays": rays,
+                                "maximal_cones": [[i, (i + 1) % 404] for i in range(404)]}))
+    start = time.perf_counter()
+    code = main(["relations", str(path)])
+    seconds = time.perf_counter() - start
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == (0, "7b0f7d20ab9234683bedad709f8b7bfba458c0d7e4d9809c0a4ba7200e1f010b")
+    assert seconds < 1.5

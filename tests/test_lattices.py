@@ -276,10 +276,10 @@ class TestStructuralInvariants:
                 assert after.basis_rows == before.basis_rows, entry.name
 
 
-def _random_columns(rng, n, k):
-    """k columns of length n, entries in [-3, 3], with zero, repeated and dependent columns."""
+def _random_columns(rng, n, k, bound=3):
+    """k columns of length n, entries up to bound, with zero, repeated and dependent columns."""
     rank = rng.randint(0, n) if rng.random() < 0.3 else n
-    span = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+    span = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(rank)]
     columns = []
     for _ in range(k):
         kind = rng.random()
@@ -295,7 +295,7 @@ def _random_columns(rng, n, k):
             coeffs = [rng.randint(-2, 2) for _ in span]
             col = [sum(c * v[i] for c, v in zip(coeffs, span)) for i in range(n)]
         else:
-            col = [rng.randint(-3, 3) for _ in range(n)]
+            col = [rng.randint(-bound, bound) for _ in range(n)]
         columns.append(tuple(col))
     return columns
 
@@ -319,55 +319,64 @@ def _two_step_kernel(columns, n):
 
 
 class TestCorankOneKernel:
-    """The closed-form kernel of at most n + 1 vectors of Z^n, which integer_kernel tries first."""
+    """_kernel_basis, the one kernel routine, against the two-step reference.
+
+    Named for the closed form of corank one that the sweep replaced;
+    its inputs now also reach several pivots and pivots above 1.
+    """
 
     def test_matches_the_two_step_reference_and_brute_force(self):
         rng = random.Random(1312)
-        seen = {0: 0, 1: 0, None: 0}
-        brute = 0
+        seen = {0: 0, 1: 0, 2: 0}
+        coarse = brute = 0
         for trial in range(3000):
             n = rng.randint(1, 5)
-            k = rng.randint(0, n + 1)
-            columns = _random_columns(rng, n, k)
-            closed = intlin_module._kernel_of_corank_one(columns, n)
+            k = rng.randint(0, n + 6)
+            bound = rng.choice((3, 3, 10 ** 6, 10 ** 30))
+            columns = _random_columns(rng, n, k, bound)
+            basis = intlin_module._kernel_basis(columns, n)
             kernel = _two_step_kernel(columns, n)
-            if closed is None:
-                assert kernel.rank >= 2, columns
-                seen[None] += 1
-                continue
             # Bit for bit: the same rows, in the same canonical form.
-            assert tuple(closed) == kernel.basis_rows, columns
-            seen[len(closed)] += 1
-            if trial % 4 == 0:
-                bound = 2 if k <= 4 else 1
-                found = set(oracles.kernel_vectors_bruteforce(columns, bound))
-                assert found == _box_points(closed, k, bound), columns
+            assert tuple(basis) == kernel.basis_rows, columns
+            seen[min(len(basis), 2)] += 1
+            coarse += any(row[intlin_module._pivot(row)] > 1 for row in basis)
+            if len(basis) < 2 and k <= n + 1 and trial % 2 == 0:
+                box = 2 if k <= 4 else 1
+                found = set(oracles.kernel_vectors_bruteforce(columns, box))
+                assert found == _box_points(basis, k, box), columns
                 brute += 1
         assert min(seen.values()) > 300, seen
+        assert coarse > 300
         assert brute > 500
 
     def test_known_kernels(self):
-        corank_one = intlin_module._kernel_of_corank_one
-        assert corank_one([], 2) == []
-        assert corank_one([(0, 0)], 2) == [(1,)]
-        assert corank_one([(1, 0), (0, 1)], 2) == []
-        assert corank_one([(1, 0), (0, 1), (-1, -1)], 2) == [(1, 1, 1)]
-        assert corank_one([(2, 4), (-1, -2)], 2) == [(1, 2)]
-        assert corank_one([(0, 1), (0, 0), (1, 0)], 2) == [(0, 1, 0)]
-        assert corank_one([(1, 0), (2, 0), (3, 0)], 2) is None
+        kernel = intlin_module._kernel_basis
+        assert kernel([], 2) == []
+        assert kernel([(0, 0)], 2) == [(1,)]
+        assert kernel([(1, 0), (0, 1)], 2) == []
+        assert kernel([(1, 0), (0, 1), (-1, -1)], 2) == [(1, 1, 1)]
+        assert kernel([(2, 4), (-1, -2)], 2) == [(1, 2)]
+        assert kernel([(0, 1), (0, 0), (1, 0)], 2) == [(0, 1, 0)]
+        # Rank 2: 3 v_2 lies in the span of v_3, and v_1 itself in that of v_2, v_3.
+        assert kernel([(1, 0), (2, 0), (3, 0)], 2) == [(1, 1, -1), (0, 3, -2)]
+        # 2 v_1 is the least multiple of v_1 in the span of v_2, v_3.
+        assert kernel([(1,), (0,), (2,)], 1) == [(2, 0, -1), (0, 1, 0)]
+        assert kernel([(3, 0), (0, 2), (2, 0), (0, 3)], 2) == [(2, 0, -3, 0), (0, 3, 0, -2)]
 
-    def test_star_kernels_take_the_closed_form_or_the_hermite_path(self, monkeypatch):
-        fan = catalog_entry("p2xp1").fan
+    def test_star_and_whole_fan_kernels_run_no_hermite_elimination(self, monkeypatch):
+        entry = catalog_entry("p2xp1").fan
+        fan = build_fan(entry.rank, entry.rays, [c.ray_indices for c in entry.maximal_cones])
         calls = []
         real = intlin_module._hermite
         monkeypatch.setattr(intlin_module, "_hermite",
-                            lambda rows, width: calls.append(width) or real(rows, width))
+                            lambda rows, width, log=None: calls.append(width) or real(rows, width, log))
         small = rel_lattice_star(fan, fan.cone((0, 3)), INC)
-        assert small.basis_rows == ((1, 1, 1, 0, 0),) and calls == []
-        # The star of ray 0 has all five rays, more than rank + 1: one
-        # elimination over the rank columns of [V | I], one over the kernel.
+        assert small.basis_rows == ((1, 1, 1, 0, 0),)
+        # The star of ray 0 has all five rays, more than rank + 1.
         whole = rel_lattice_star(fan, fan.cone((0,)), INC)
-        assert whole.rank == 2 and calls == [3, 5]
+        assert whole.rank == 2
+        assert rel_lattice(fan).basis_rows == whole.basis_rows
+        assert calls == []
 
 
 class TestStarKernelSharing:
