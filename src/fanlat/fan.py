@@ -3,10 +3,10 @@
 Cones are stored combinatorially as sorted tuples of ray indices;
 geometry is reconstructed from the primitive ray vectors on demand. A
 simplicial fan stores only its maximal cones, the generators that lie in
-no other; its other faces are listed the first time a cone is looked up
-or the cones are read, so what reads only the maximal cones (relations,
-the class group, validation, star sets) never lists them. Trusted
-non-simplicial input keeps its explicit cone list.
+no other. Its other faces are the keys of its star-set tables, one per
+codimension (star_sets), so a cone is looked up in the table of its
+codimension and no dict of every face is built. Trusted non-simplicial
+input keeps its explicit cone list.
 Simplicial input is validated exactly on one path: the ridge
 certificate of is_complete accepts a complete fan at once, and any other
 simplicial input is checked with one exact separating-hyperplane
@@ -71,7 +71,6 @@ class QuotientFan:
     projection: IntMatrix
     rays: tuple[tuple[int, ...], ...]
     ray_origin: tuple[int, ...]
-    cones: frozenset
     warnings: tuple[str, ...]
 
 
@@ -82,15 +81,15 @@ class FaceMap:
     *Toric Varieties*, ch. 3), so they are all a face map stores: the
     cones of the given list that lie in no other, in cones order
     (maximal_of). Everything else lives in memo and is built on first
-    use. The dict of every cone by its sorted ray indices is one entry
-    ("faces"): a simplicial fan builds it from its maximal cones the
-    first time a cone is looked up or listed, and trusted non-simplicial
-    input stores its explicit cone list there at construction. The
-    sorted cones, the star sets of each codimension, the exclusive star
-    supports of each codimension (the inclusive ones are the star sets),
-    the distinct star supports of each codimension per support policy as
-    ray bitmasks, the cones a random stellar draw picks from and the
-    face map of each stellar subdivision are other entries. They depend
+    use. A simplicial fan's other cones are the keys of its star-set
+    tables, so there is no dict of every face; only trusted
+    non-simplicial input stores one ("faces"), its explicit cone list by
+    sorted ray indices, at construction. The sorted cones, the star sets
+    of each codimension, the exclusive star supports of each
+    codimension (the inclusive ones are the star sets), the distinct
+    star supports of each codimension per support policy as ray
+    bitmasks, the cones a random stellar draw picks from and the face
+    map of each stellar subdivision are other entries. They depend
     on the cones and not on the ray vectors, so every fan built on one
     face map shares them: the stellar subdivisions of one cone, whatever
     their new ray, and the unimodular images of a fan. Nothing changes a
@@ -135,15 +134,14 @@ class Fan:
     Nothing changes rays or cones after construction (stellar
     subdivision and unimodular images build new fans), so the
     invariants derived from them are computed once and kept in one of
-    two caches. What the cones alone determine (the cone dict that
-    cone(), has_cone(), zero_cone, cones, == and hash() read, which a
-    simplicial fan builds from its maximal cones on first lookup; the
-    sorted cones, the star sets of each codimension, the exclusive star
-    supports of each codimension, the distinct star supports per policy
-    as ray bitmasks, the draw candidates and the face map of
-    each subdivided cone) lives on the fan's FaceMap and is shared by
-    every fan built on it. The maximal cones themselves are the face
-    map's, so reading them builds nothing. What also reads the rays
+    two caches. What the cones alone determine (the sorted cones that
+    == and hash() read, the star sets of each codimension, whose keys
+    are the cones that cone(), has_cone() and cones read on a simplicial
+    fan, the exclusive star supports of each codimension, the distinct
+    star supports per policy as ray bitmasks, the draw candidates and
+    the face map of each subdivided cone) lives on the fan's FaceMap and
+    is shared by every fan built on it. The maximal cones themselves are
+    the face map's, so reading them builds nothing. What also reads the rays
     lives in the fan's private cache: the ray matrix, the determinant
     of the sorted rays of each full-dimensional maximal cone (read by
     is_complete), completeness, the ray lattice, the relation lattice,
@@ -190,14 +188,31 @@ class Fan:
             value = memo[key] = build()
             return value
 
-    def _cone_dict(self) -> dict:
-        """Every cone by its sorted ray indices; a simplicial fan lists them on first use."""
-        return self._face_cached("faces", lambda: simplicial_faces(self.rank, self.maximal_cones))
+    def _find(self, key: tuple[int, ...]) -> Optional[ConeRef]:
+        """The cone with the sorted ray indices key, or None.
+
+        A nonzero cone of a simplicial fan with d rays is a key of the
+        star-set table of codimension rank - d, which is empty when d
+        exceeds the rank.
+        """
+        if not self.simplicial:
+            return self._cones.memo["faces"].get(key)
+        d = len(key)
+        if d and key not in star_sets(self, self.rank - d):
+            return None
+        return ConeRef(key, d, self.rank - d)
 
     @property
     def cones(self) -> tuple[ConeRef, ...]:
-        return self._face_cached("cones", lambda: tuple(
-            sorted(self._cone_dict().values(), key=ConeRef.sort_key)))
+        """Every cone in cones order: by dimension, then by ray indices."""
+        return self._face_cached("cones", self._sorted_cones)
+
+    def _sorted_cones(self) -> tuple[ConeRef, ...]:
+        if not self.simplicial:
+            return tuple(sorted(self._cones.memo["faces"].values(), key=ConeRef.sort_key))
+        n = self.rank
+        return (self.zero_cone, *(ConeRef(key, n - k, k) for k in range(n - 1, -1, -1)
+                                  for key in star_sets(self, k)))
 
     @property
     def maximal_cones(self) -> tuple[ConeRef, ...]:
@@ -205,17 +220,17 @@ class Fan:
 
     @property
     def zero_cone(self) -> ConeRef:
-        return self._cone_dict()[()]
+        return ConeRef((), 0, self.rank)
 
     def cone(self, ray_indices: Iterable[int]) -> ConeRef:
         key = tuple(sorted(ray_indices))
-        try:
-            return self._cone_dict()[key]
-        except KeyError:
-            raise FanValidationError(f"no cone with ray indices {key}") from None
+        found = self._find(key)
+        if found is None:
+            raise FanValidationError(f"no cone with ray indices {key}")
+        return found
 
     def has_cone(self, ray_indices: Iterable[int]) -> bool:
-        return tuple(sorted(ray_indices)) in self._cone_dict()
+        return self._find(tuple(sorted(ray_indices))) is not None
 
     def ray_matrix(self) -> IntMatrix:
         """rank x nrays matrix whose columns are the primitive ray vectors."""
@@ -225,26 +240,15 @@ class Fan:
         if not isinstance(other, Fan):
             return NotImplemented
         return (self.rank == other.rank and self.rays == other.rays
-                and self._cone_dict().keys() == other._cone_dict().keys())
+                and self.cones == other.cones)
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.rays, frozenset(self._cone_dict())))
+        return hash((self.rank, self.rays, self.cones))
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return (f"Fan{label}(rank {self.rank}, {len(self.rays)} rays, "
                 f"{len(self.maximal_cones)} maximal cones)")
-
-
-def simplicial_faces(rank: int, maximal_cones: Sequence[ConeRef]) -> dict:
-    """The cones of a simplicial fan by sorted key: every subset of a maximal cone."""
-    cone_map = {(): ConeRef((), 0, rank)}
-    for c in maximal_cones:
-        for size in range(1, len(c.ray_indices) + 1):
-            for face in combinations(c.ray_indices, size):
-                if face not in cone_map:
-                    cone_map[face] = ConeRef(face, size, rank - size)
-    return cone_map
 
 
 def _independent(rank: int, ray_vectors, key: tuple[int, ...], dets: dict) -> bool:
@@ -265,9 +269,9 @@ def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
     Ray entries must be ints, and rays are normalized to primitive
     vectors (a duplicate after normalization is an error). For
     simplicial input the fan keeps the generators that lie in no other
-    as its maximal cones; every subset of one is a face, listed only
-    when a cone is first looked up. Unless trust is set the cones are
-    checked exactly to form a fan:
+    as its maximal cones; every subset of one is a face, and a face is
+    looked up in the star-set table of its codimension. Unless trust is
+    set the cones are checked exactly to form a fan:
     input that passes the ridge certificate of is_complete is a complete
     fan, and any other input goes through cone_pair_proper on every pair
     of maximal cones. The validation is then "full", or "trusted" with
@@ -276,7 +280,7 @@ def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
     """
     if rank < 0:
         raise FanValidationError("rank must be nonnegative")
-    rays = []
+    rays, seen = [], set()
     for v in ray_vectors:
         v = tuple(v)
         if len(v) != rank:
@@ -286,8 +290,9 @@ def build_fan(rank: int, ray_vectors: Sequence[Sequence[int]],
         if not any(v):
             raise FanValidationError("zero ray")
         p = primitive(v)
-        if p in rays:
+        if p in seen:
             raise FanValidationError(f"duplicate ray after primitivization: {p}")
+        seen.add(p)
         rays.append(p)
 
     gens = []
@@ -376,7 +381,9 @@ def star_sets(fan: Fan, k: int) -> dict:
     star set of a face is the union of the maximal cones holding it, and
     one pass over the maximal cones adds each one's rays to each of its
     faces with rank - k rays. Any other fan reads each cone's star. The
-    table is cached on the fan's face map per k.
+    table is cached on the fan's face map per k. On a simplicial fan the
+    keys of these tables are its nonzero cones: cone(), has_cone() and
+    cones read them, and no other list of faces is kept.
     """
     return fan._face_cached(("star_sets", k), lambda: _star_sets(fan, k))
 
@@ -471,14 +478,17 @@ def localize(fan: Fan, tau: ConeRef) -> QuotientFan:
     the projection maps Z^n onto Z^(n - dim tau), and it depends on no
     elimination order. A star ray outside tau that projects to zero
     lies in tau's span, which only trusted input that is not a fan can
-    hold: that input is rejected.
+    hold: that input is rejected. The star rays of a nonzero tau are its
+    entry in the star-set table of its codimension, and those of the
+    zero cone are every ray, so no cone of the star is listed.
     """
     tau = fan.cone(tau.ray_indices)
     proj = integer_kernel(IntMatrix._of([fan.rays[i] for i in tau.ray_indices], fan.rank)).basis
     for i in tau.ray_indices:
         if any(proj.mul_vector(fan.rays[i])):
             raise InternalCheckError("projection does not vanish on the cone's rays")
-    star_cones, star_rays = star(fan, tau)
+    star_rays = (star_sets(fan, tau.codim)[tau.ray_indices] if tau.ray_indices
+                 else range(len(fan.rays)))
     outside = [i for i in star_rays if i not in tau.ray_indices]
     warnings = []
     images = []
@@ -491,13 +501,9 @@ def localize(fan: Fan, tau: ConeRef) -> QuotientFan:
     if len(set(images)) < len(images):
         warnings.append("distinct star rays share a primitive image; "
                         "kept as distinct labeled quotient rays")
-    pos = {ray: k for k, ray in enumerate(outside)}
-    qcones = frozenset(
-        tuple(sorted(pos[i] for i in c.ray_indices if i in pos)) for c in star_cones)
     return QuotientFan(
         base=fan, tau=tau, quotient_rank=proj.rows, projection=proj,
-        rays=tuple(images), ray_origin=tuple(outside), cones=qcones,
-        warnings=tuple(warnings))
+        rays=tuple(images), ray_origin=tuple(outside), warnings=tuple(warnings))
 
 
 def apply_unimodular(fan: Fan, u: IntMatrix) -> Fan:

@@ -36,8 +36,8 @@ the supports after it are not read. FiltrationProfile.levels computes
 L_rel first; a depth query never reads a level above its answer, so it
 does not, and without L_rel the running sum takes every kernel. The
 contributing cones of a level are kept apart from it: a cone's
-star-kernel rank is the size of its support minus the rank of the
-support's rays, so listing them builds no kernel and no level.
+star-kernel rank is the rank of its support's cached kernel, so listing
+them builds no level.
 
 local_decompose writes a global relation as a sum of pieces, one per
 ray, each a relation supported inside that ray's star. Inclusive level
@@ -59,7 +59,7 @@ from .fan import ConeRef, Fan, is_complete, star_sets
 from .intlin import (ColumnFactor, Sublattice, _hermite, factor_columns,
                      lattice_equal, member, solve_factored)
 from .lattices import (RelLattice, SupportPolicy, _cached_rel_lattice, _star_kernel,
-                       _star_kernel_rank, rel_lattice, star_supports)
+                       rel_lattice, star_supports)
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class FiltrationProfile:
 
     contributing[k] lists (cone, star-kernel rank) for the cones of
     codimension exactly k whose star kernel is nonzero; it is not
-    cached, and builds no kernel. Each level is
+    cached, but the kernels it reads are. Each level is
     built on first use from the level below it and cached on the fan:
     levels and level_ranks compute the relation lattice and then build
     every level, each one above the first that equals the relation
@@ -192,15 +192,12 @@ def _build_level(fan: Fan, policy: SupportPolicy, k: int) -> Sublattice:
 def _contributing(fan: Fan, policy: SupportPolicy, k: int) -> tuple[tuple[ConeRef, int], ...]:
     """(cone, star-kernel rank) for the codim-k cones with a nonzero star kernel.
 
-    Each distinct support's rank is read once, from the rank of its rays
-    (_star_kernel_rank), so no kernel is built. Only a cone it reports
-    is looked up.
+    Each rank is that of the support's star kernel, cached on the fan
+    and shared with the levels. Only a cone it reports is looked up.
     """
-    ranks, found = {}, []
+    found = []
     for key, support in _level_supports(fan, policy, k).items():
-        rank = ranks.get(support)
-        if rank is None:
-            rank = ranks[support] = _star_kernel_rank(fan, support)
+        rank = _star_kernel(fan, support).rank
         if rank:
             found.append((fan.cone(key), rank))
     return tuple(found)

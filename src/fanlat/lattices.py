@@ -17,11 +17,8 @@ policy that named it. So it is cached on the fan under ("kernel",
 support): cones with equal star sets share one kernel, and so do the two
 policies where their supports coincide. The kernel of a support's rays
 comes from intlin's one kernel routine, a sweep over the rays from last
-to first, and is zero-extended to the fan's rays. The
-rank of a star kernel needs no kernel: it is the support size minus the
-rank of its rays (_star_kernel_rank), one fraction-free elimination.
-Kernels are cached per fan only: a stellar subdivision is a new fan and
-builds its own.
+to first, and is zero-extended to the fan's rays. Kernels are cached per
+fan only: a stellar subdivision is a new fan and builds its own.
 """
 
 from __future__ import annotations
@@ -32,8 +29,7 @@ from typing import Optional, Sequence
 
 from .errors import FanValidationError
 from .fan import ConeRef, Fan, QuotientFan, localize, star_sets
-from .intlin import (IntMatrix, Sublattice, _kernel_basis, integer_kernel, matrix_rank, snf,
-                     sublattice_index)
+from .intlin import IntMatrix, Sublattice, _kernel_basis, integer_kernel, snf, sublattice_index
 
 
 class SupportPolicy(enum.Enum):
@@ -173,14 +169,6 @@ def _star_kernel(fan: Fan, support: tuple[int, ...]) -> RelLattice:
     """Relations supported on the sorted ray tuple support, cached on the fan."""
     return fan._cached(("kernel", support), lambda: RelLattice(
         ray_labels=tuple(range(len(fan.rays))), sublattice=_embedded_kernel(fan, support)))
-
-
-def _star_kernel_rank(fan: Fan, support: tuple[int, ...]) -> int:
-    """The rank of _star_kernel(fan, support), without building the kernel.
-
-    It is the number of rays in the support minus their rank.
-    """
-    return len(support) - matrix_rank(IntMatrix._of([fan.rays[i] for i in support], fan.rank))
 
 
 def rel_lattice_internal(fan: Fan, tau: ConeRef) -> RelLattice:

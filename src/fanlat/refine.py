@@ -68,16 +68,16 @@ def stellar_subdivide(fan: Fan, sigma: ConeRef, w: Sequence[int]) -> Fan:
     built straight from its maximal cones (the new ray is primitive,
     and each new cone stays simplicial because w has a nonzero
     coefficient on the ray it replaces) and carries over the input's
-    validation level and warnings. Its other faces are listed only when
-    a cone of it is first looked up. Like any new fan it starts with an
-    empty private cache.
+    validation level and warnings. Its other faces are the keys of its
+    star-set tables. Like any new fan it starts with an empty private
+    cache.
 
     The refined face map depends on sigma and not on w. It is worked out
     once per sigma and cached on the input's face map under
     ("subdivision", sigma's ray indices), so every subdivision of sigma,
     whatever its new ray, is built on that one face map and shares its
-    combinatorial cache (maximal cones, cone dict, sorted cones, star
-    sets, star masks, draw candidates). Nothing that reads the rays is
+    combinatorial cache (maximal cones, sorted cones, star sets, star
+    masks, draw candidates). Nothing that reads the rays is
     shared: the refined fan's determinants, relation lattice, kernels
     and levels are its own.
     """
@@ -111,7 +111,7 @@ def _refined_faces(fan: Fan, sigma: ConeRef) -> FaceMap:
 
     Its maximal cones are fan's maximal cones that do not hold sigma,
     and the joins of the new ray with the facets of sigma in each one
-    that holds sigma; the cone dict is built from them on first lookup.
+    that holds sigma.
     """
     new_index = len(fan.rays)
     sig = set(sigma.ray_indices)

@@ -629,7 +629,8 @@ class TestFacesOnDemand:
     """Commands that read only the maximal cones and star sets never list a fan's faces.
 
     P^n has 2^n faces per maximal cone, so listing them at load made
-    these commands exponential in the rank.
+    these commands exponential in the rank. localize and subdivide look
+    one cone up, in the star-set table of its codimension.
     """
 
     @pytest.mark.parametrize("n", [20, 22])
@@ -643,14 +644,20 @@ class TestFacesOnDemand:
 
         monkeypatch.setattr(cli_module, "load_fan", recording_load_fan)
         reports = {}
+        ray = ",".join(["1", "1"] + ["0"] * (n - 2))
         for command, *options in (("relations",), ("classgroup",), ("validate",), ("decompose",),
-                                  ("report", "--policy", "inclusive")):
+                                  ("report", "--policy", "inclusive"), ("localize", "--cone", "0"),
+                                  ("subdivide", "--cone", "0,1", "--ray", ray,
+                                   "--policy", "inclusive")):
             start = time.perf_counter()
             code, reports[command], err = run_json(capsys, command, path, *options)
             assert time.perf_counter() - start < 5, command
             assert code == 0, (command, err)
         assert "validation: full" in reports["validate"]["findings"]
-        assert len(loaded) == 5
+        assert len(reports["localize"]["quotient_rays"]) == n
+        # The n - 1 maximal cones holding (0, 1) each split in two.
+        assert len(reports["subdivide"]["after_fan"]["maximal_cones"]) == 2 * n
+        assert len(loaded) == 7
         assert all("faces" not in fan._cones.memo for fan in loaded)
 
 

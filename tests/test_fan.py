@@ -328,6 +328,75 @@ class TestIncidenceIndex:
             assert set(fan._memo["maximal_dets"]) == {c for c in maximal if len(c) == rank}
 
 
+class TestConeLookup:
+    """cone, has_cone, zero_cone and cones agree with brute-force faces, on fresh fans.
+
+    A simplicial fan looks a cone up in the star-set table of its
+    codimension and keeps no dict of its faces; only trusted
+    non-simplicial input stores its cone list.
+    """
+
+    @staticmethod
+    def _cases():
+        """(fresh fan, its cones in cones order as (ray indices, dim)) for every fan under test."""
+        cases = []
+        for entry in catalog():
+            faces = oracles.faces_bruteforce(CATALOG_GENERATORS[entry.name])
+            cases.append((_rebuild(entry.fan), [(face, len(face)) for face in faces]))
+        for name, seed in (("p2xp1", 11), ("sigma_c", 12), ("p3", 13)):
+            rng = random.Random(seed)
+            fan, generators = catalog_entry(name).fan, CATALOG_GENERATORS[name]
+            for _ in range(6):
+                draw = refine_module.random_stellar_draw(fan, rng)
+                generators = _stellar_generators(generators, draw[0].ray_indices, len(fan.rays))
+                fan = refine_module.stellar_subdivide(fan, *draw)
+            faces = oracles.faces_bruteforce(generators)
+            cases.append((_rebuild(fan), [(face, len(face)) for face in faces]))
+        cases.append((build_fan(0, [], [()]), [((), 0)]))
+        square = [(), (0,), (1,), (2,), (3,), (0, 1), (0, 3), (1, 2), (2, 3), (0, 1, 2, 3)]
+        cases.append((quad_cone_fan(), [(c, min(len(c), 3)) for c in square]))
+        return cases
+
+    def test_lookups_match_bruteforce_faces(self):
+        non_faces = 0
+        for fan, expected in self._cases():
+            # Cones are looked up before anything lists them.
+            n, m = fan.rank, len(fan.rays)
+            dims = dict(expected)
+            for size in range(min(m, n + 1) + 1):
+                for key in combinations(range(m), size):
+                    found = fan.has_cone(key[::-1])
+                    assert found is (key in dims), (fan, key)
+                    if found:
+                        d = dims[key]
+                        assert fan.cone(key[::-1]) == fan_module.ConeRef(key, d, n - d)
+                    else:
+                        non_faces += 1
+                        with pytest.raises(FanValidationError, match="no cone"):
+                            fan.cone(key)
+            # An out-of-range index, a negative one, a repeated index and
+            # more rays than the rank.
+            for key in ((m,), (-1,), (0, 0), tuple(range(m)) + (m,), tuple(range(n + 1))):
+                if key not in dims:
+                    assert not fan.has_cone(key), (fan, key)
+                    with pytest.raises(FanValidationError, match="no cone"):
+                        fan.cone(key)
+            assert fan.zero_cone == fan_module.ConeRef((), 0, n) == fan.cone(())
+            assert [(c.ray_indices, c.dim, c.codim) for c in fan.cones] == [
+                (key, d, n - d) for key, d in expected], fan
+            assert ("faces" in fan._cones.memo) is not fan.simplicial
+        assert non_faces
+
+    def test_equality_and_hash_read_the_cones(self):
+        fan = catalog_entry("p2xp1").fan
+        again = _rebuild(fan)
+        assert again == fan and hash(again) == hash(fan)
+        # The same rays with one maximal cone left out.
+        other = build_fan(fan.rank, fan.rays,
+                          [c.ray_indices for c in fan.maximal_cones[1:]], trust=True)
+        assert other != fan
+
+
 class TestIsComplete:
     def test_catalog_flags(self):
         for name, expected in [("p2", True), ("p1xp1", True), ("p3", True),
