@@ -290,33 +290,41 @@ def cmd_subdivide(fan: Fan, args) -> dict:
 
 
 def cmd_conjecture(fan: Fan, args) -> dict:
+    """The scan report: one trace per completed trial.
+
+    Every trial of one draw shares that draw's refined fan, cone, new
+    ray and records (conjecture_scan). So the cone, the new ray and the
+    records of each distinct draw are encoded once, as SharedLists that
+    dump_report writes once, and a repeated trial adds only its trial
+    index and its violation count.
+    """
     policy = SupportPolicy(args.policy)
     traces = conjecture_scan(fan, policy, args.trials, args.seed)
     out_traces = []
     violations = 0
-    # Repeats of a draw share its records tuple; encode it once, as one
-    # SharedList that dump_report writes once.
-    encoded = {}  # id of a trace's records -> their encoding
+    encoded = {}  # id of a draw's refined fan -> (cone, new ray, records, violations)
     for tr in traces:
-        violations += tr.violations
-        records = encoded.get(id(tr.records))
-        if records is None:
-            records = encoded[id(tr.records)] = SharedList(
-                {
-                    "relation": enc_vector(rec.relation),
-                    "depth_before": enc_depth(rec.depth_before),
-                    "depth_after": enc_depth(rec.depth_after),
-                    "comparable": rec.comparable,
-                    "violation": rec.violation,
-                }
-                for rec in tr.records
+        draw = encoded.get(id(tr.after))
+        if draw is None:
+            draw = encoded[id(tr.after)] = (
+                SharedList(tr.subdivided_cone.ray_indices),
+                SharedList(enc_vector(tr.new_ray)),
+                SharedList(
+                    {
+                        "relation": enc_vector(rec.relation),
+                        "depth_before": enc_depth(rec.depth_before),
+                        "depth_after": enc_depth(rec.depth_after),
+                        "comparable": rec.comparable,
+                        "violation": rec.violation,
+                    }
+                    for rec in tr.records
+                ),
+                tr.violations,
             )
-        out_traces.append({
-            "trial": tr.trial_index,
-            "cone": list(tr.subdivided_cone.ray_indices),
-            "new_ray": enc_vector(tr.new_ray),
-            "records": records,
-        })
+        cone, new_ray, records, count = draw
+        violations += count
+        out_traces.append({"trial": tr.trial_index, "cone": cone, "new_ray": new_ray,
+                           "records": records})
     return {
         "policy": policy.value,
         "trials": args.trials,
@@ -389,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = fan_command("conjecture", "seeded monotonicity scan", needs_policy=True,
                     policy_default="inclusive")
     p.add_argument("--trials", type=_count, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     fan_command("classgroup", "divisor class group from the dual ray map")
     p = sub.add_parser("catalog", help="list or export the built-in fans")
     p.add_argument("action", nargs="?", choices=["export"])

@@ -106,11 +106,20 @@ class FaceMap:
 def maximal_of(cones: Iterable[ConeRef]) -> tuple[ConeRef, ...]:
     """The cones of the list that lie in no other cone of it, once each, in cones order.
 
-    From the most rays down, a cone is kept iff no kept cone holding its
-    first ray contains it. A kept cone is filed under each of its rays
-    and under the empty key that the zero cone looks up, so the zero
-    cone is kept only if nothing else is.
+    Ray indices are sorted, so distinct keys are distinct ray sets. When
+    every nonzero cone has the same number of rays, as in a pure fan
+    file and in every stellar subdivision of a pure fan, no two distinct
+    ones contain each other: the result is the distinct nonzero cones,
+    and the containment pass is skipped. Otherwise, from the most rays
+    down, a cone is kept iff no kept cone holding its first ray contains
+    it. A kept cone is filed under each of its rays and under the empty
+    key that the zero cone looks up, so the zero cone is kept only if
+    nothing else is.
     """
+    cones = list(cones)
+    if len({len(c.ray_indices) for c in cones} - {0}) == 1:
+        distinct = {c.ray_indices: c for c in cones if c.ray_indices}
+        return tuple(distinct[key] for key in sorted(distinct))
     filed = {}  # (ray,), or () for the zero cone -> ray sets of kept cones
     kept = []
     for c in sorted(cones, key=lambda c: len(c.ray_indices), reverse=True):

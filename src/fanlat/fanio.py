@@ -147,7 +147,12 @@ def enc_depth(d: Optional[int]):
 
 
 class SharedList(list):
-    """A list that dump_report writes once per indent and then reuses."""
+    """A list that dump_report writes once per indent and then reuses.
+
+    A report that holds one value many times, such as the cone, new ray
+    and records that every trial of one conjecture draw repeats, puts
+    one SharedList in each place, and its text is built once per call.
+    """
 
 
 def dump_report(report: dict) -> str:

@@ -14,9 +14,11 @@ inclusive policy), and each star kernel is asked by its support, so
 cones and policies with one support share one kernel. A level reads the
 supports alone and looks up no cone, so on a simplicial fan it never
 lists the faces; only the contributing cones are looked up, and only
-those that are reported. Four exact shortcuts
+those that are reported. Five exact shortcuts
 skip work: on a simplicial fan a codim-0 cone's star kernel is zero
-(the cone is its own star and its rays are independent); a level that
+(the cone is its own star and its rays are independent); level 0 of a
+simplicial fan is therefore zero, so a depth query for a nonzero vector
+starts at level 1 and does not build level 0; a level that
 gains no generator is the level below it, which makes level n always
 level n-1; a level stops at the relation lattice L_rel when that is
 cached on the fan; and a depth query answers k without building level
@@ -74,12 +76,14 @@ class FiltrationProfile:
     every level, each one above the first that equals the relation
     lattice for free; level(k) builds the levels up to k, while
     depth_of stops at the first level that contains the relation and
-    never computes the relation lattice. Before it builds a level
-    k >= 1 that is not cached yet, depth_of tests the relation's support
-    against the distinct star supports of the codim-k cones (int
-    bitmasks, cached on the fan's face map per policy and k); a fit
-    answers k for a relation and None for a vector that is not one, and
-    level k is not built. Levels that are cached already are read by
+    never computes the relation lattice. On a simplicial fan level 0 is
+    zero, so depth_of starts a nonzero vector at level 1 and does not
+    build level 0 for it (building level 1 builds level 0 below it).
+    Before it builds a level k >= 1 that is not cached yet, depth_of
+    tests the relation's support against the distinct star supports of
+    the codim-k cones (int bitmasks, cached on the fan's face map per
+    policy and k); a fit answers k for a relation and None for a vector
+    that is not one, and level k is not built. Levels that are cached already are read by
     membership alone.
     """
 
@@ -105,12 +109,12 @@ class FiltrationProfile:
 
     def depth_of(self, relation: Sequence[int]) -> Optional[int]:
         fan, policy = self.fan, self.policy
-        support = None
-        for k in range(fan.rank + 1):
-            # Level 0 is free on a simplicial fan, so k = 0 takes no certificate.
+        support = sum(1 << i for i, x in enumerate(relation) if x)
+        # Level 0 of a simplicial fan is zero, so a nonzero vector starts at
+        # level 1; level 0 of another fan is read without a certificate.
+        start = 1 if support and fan.simplicial else 0
+        for k in range(start, fan.rank + 1):
             if k and ("level", policy, k) not in fan._memo:
-                if support is None:
-                    support = sum(1 << i for i, x in enumerate(relation) if x)
                 if any(not (support & ~mask) for mask in _star_masks(fan, policy, k)):
                     # Every level lies in the relation lattice, so a vector
                     # that is not a relation is in none of them.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import FanValidationError, NotARelationError, NotCompleteError, NotSimplicialError
@@ -164,12 +164,17 @@ def compare_depths(before: Fan, after: Fan, policy: SupportPolicy,
     A record sets depths_before[j], the depth of `before`'s j-th basis
     relation, against the depth of its padded image in `after`. An
     unreachable before-depth is incomparable, never a violation; a
-    finite depth that becomes unreachable is one.
+    finite depth that becomes unreachable is one. depths_before must
+    hold one depth per basis relation, or ValueError is raised.
     """
+    basis = rel_lattice(before).basis_rows
+    if len(depths_before) != len(basis):
+        raise ValueError(f"{len(depths_before)} depths given for "
+                         f"{len(basis)} basis relations")
     ray_map, ray_mat = _injection_map(before, after)
     profile = filtration(after, policy)
     records = []
-    for r, depth_before in zip(rel_lattice(before).basis_rows, depths_before):
+    for r, depth_before in zip(basis, depths_before):
         depth_after = profile.depth_of(_pad_relation(ray_map, ray_mat, r))
         comparable = depth_before is not None
         records.append(DepthRecord(
@@ -182,21 +187,22 @@ def compare_depths(before: Fan, after: Fan, policy: SupportPolicy,
 def random_stellar_draw(fan: Fan, rng: random.Random) -> Optional[tuple[ConeRef, tuple[int, ...]]]:
     """Pick a cone of dim >= 2 and an interior primitive ray, or None.
 
-    Coefficients are drawn from {1, 2, 3}; the draw retries a bounded
-    number of times when the weighted sum lands on an existing ray. The
-    candidate cones depend on the cones alone and are cached on the
-    fan's face map.
+    Coefficients are drawn from {1, 2, 3}, one rng.choice per ray of the
+    cone in ray order; the draw retries a bounded number of times when
+    the weighted sum lands on an existing ray. The candidate cones
+    depend on the cones alone and are cached on the fan's face map.
     """
     candidates = fan._face_cached("draw_candidates", lambda: tuple(
         c for c in fan.cones if c.dim >= 2))
     if not candidates:
         return None
     cone = rng.choice(candidates)
+    vectors = [fan.rays[i] for i in cone.ray_indices]
     for _ in range(_DRAW_RETRIES):
-        coeffs = [rng.choice(_COEFF_CHOICES) for _ in cone.ray_indices]
-        vec = tuple(
-            sum(c * fan.rays[i][j] for c, i in zip(coeffs, cone.ray_indices))
-            for j in range(fan.rank))
+        vec = [0] * fan.rank
+        for v in vectors:
+            c = rng.choice(_COEFF_CHOICES)
+            vec = [a + c * x for a, x in zip(vec, v)]
         w = primitive(vec)
         if w not in fan.rays:
             return cone, w
@@ -211,13 +217,20 @@ def conjecture_scan(fan: Fan, policy: SupportPolicy, trials: int,
     the depth of every basis relation before and after the injection
     (compare_depths). Deterministic for a given seed: per-trial
     generators are seeded up front, so execution order cannot matter.
+    The seed must be nonnegative, or ValueError is raised: random.Random
+    seeds from the absolute value of an int, so -s would repeat the scan
+    of s.
 
     The draw space is small, so trials often repeat a draw. The first
     trial of each draw (cone, new ray) subdivides and computes the
-    depths; a later trial with the same draw gets that trace with its
-    own trial index, sharing the refined fan and the records. Skipped
-    trials are not remembered, and each one logs its own warning.
+    depths; a later trial with the same draw gets a trace of its own
+    trial index whose refined fan, cone, new ray, ray map and records
+    are the very objects of the first trace, so it does no lattice work
+    and a writer can encode each draw once. Skipped trials are not
+    remembered, and each one logs its own warning.
     """
+    if seed < 0:
+        raise ValueError(f"the scan seed must be nonnegative, got {seed}")
     if not fan.simplicial:
         raise NotSimplicialError("the scanner requires a simplicial fan")
     if not is_complete(fan):
@@ -239,7 +252,8 @@ def conjecture_scan(fan: Fan, policy: SupportPolicy, trials: int,
         cone, w = draw
         first = first_of_draw.get((cone.ray_indices, w))
         if first is not None:
-            traces.append(replace(first, trial_index=t))
+            traces.append(SubdivisionTrace(t, fan, first.after, first.new_ray,
+                                           first.subdivided_cone, first.ray_map, first.records))
             continue
         try:
             refined = stellar_subdivide(fan, cone, w)

@@ -170,13 +170,14 @@ class TestDepthCommand:
         assert "not a relation" in err
 
     @pytest.mark.parametrize("name, relation, inclusive, exclusive, built", [
-        # Inclusive depth 1 is certified by a codim-1 star support; an
-        # unreachable exclusive depth needs every level.
-        ("p3", "1,1,1,1", 1, "unreachable", {"inclusive": {0}, "exclusive": {0, 1, 2, 3}}),
+        # Level 0 of a simplicial fan is zero, so a nonzero relation never
+        # builds it alone. Inclusive depth 1 is certified by a codim-1 star
+        # support; an unreachable exclusive depth needs every level.
+        ("p3", "1,1,1,1", 1, "unreachable", {"inclusive": set(), "exclusive": {0, 1, 2, 3}}),
         # The exclusive level 1 rejects the relation; depth 2 is certified.
-        ("p2xp1", "1,1,1,0,0", 1, 2, {"inclusive": {0}, "exclusive": {0, 1}}),
-        ("p2xp1", "0,0,0,1,1", 1, 1, {"inclusive": {0}, "exclusive": {0}}),
-        ("sigma_c", "1,0,1,0,2", 1, 2, {"inclusive": {0}, "exclusive": {0, 1}}),
+        ("p2xp1", "1,1,1,0,0", 1, 2, {"inclusive": set(), "exclusive": {0, 1}}),
+        ("p2xp1", "0,0,0,1,1", 1, 1, {"inclusive": set(), "exclusive": set()}),
+        ("sigma_c", "1,0,1,0,2", 1, 2, {"inclusive": set(), "exclusive": {0, 1}}),
     ])
     def test_levels_built(self, capsys, tmp_path, monkeypatch, name, relation,
                           inclusive, exclusive, built):
@@ -506,6 +507,13 @@ class TestConjecture:
         assert out == ""
         assert "nonnegative" in err
 
+    @pytest.mark.parametrize("seed", [("--seed", "-7"), ("--seed=-7",)])
+    def test_negative_seed_rejected(self, capsys, p2_file, seed):
+        # random.Random seeds from abs(seed): -7 would print the scan of 7.
+        code, out, err = run(capsys, "conjecture", p2_file, "--trials", "20", *seed)
+        assert (code, out) == (2, "")
+        assert "nonnegative" in err
+
 
 class TestClassgroupAndRelations:
     def test_classgroup_torsion(self, capsys, tmp_path):
@@ -596,6 +604,7 @@ class TestScanBuildsOnlyWhatItReads:
     def test_conjecture_on_p3(self, capsys, tmp_path, monkeypatch):
         kernels = _spy(monkeypatch, "fanlat.lattices", "_embedded_kernel")
         levels = _spy(monkeypatch, "fanlat.filtration", "_build_level")
+        compared = _spy(monkeypatch, "fanlat.refine", "compare_depths")
         stars = _spy(monkeypatch, "fanlat.fan", "_star")
         path = tmp_path / "p3.json"
         path.write_text(json.dumps(fan_to_dict(catalog_entry("p3").fan)))
@@ -603,14 +612,15 @@ class TestScanBuildsOnlyWhatItReads:
         assert code == 0
         assert report["completed_trials"] == 20
         assert all(rec["depth_after"] == 1 for tr in report["traces"] for rec in tr["records"])
-        # Every depth is 1, certified by the support of a codim-1 star: no
-        # fan builds level 1 or any star kernel, only the free level 0.
+        # Every depth is 1, certified by the support of a codim-1 star, and
+        # level 0 holds no nonzero relation: no fan builds a level or a
+        # star kernel.
         assert kernels == []
-        assert levels and all(args[1] == 0 for _, args in levels)
+        assert levels == []
         # One refined fan per distinct draw; the scan repeats some draws.
         draws = {(tuple(tr["cone"]), tuple(tr["new_ray"])) for tr in report["traces"]}
-        refined = {id(fan) for fan, _ in levels if len(fan.rays) == 5}
-        assert len(refined) == len(draws) < report["completed_trials"]
+        refined = {id(args[0]) for _, args in compared}
+        assert len(compared) == len(refined) == len(draws) < report["completed_trials"]
         # The certificates read the star-set tables, which a simplicial fan
         # fills from its maximal cones without building a single star.
         assert stars == []

@@ -328,6 +328,52 @@ class TestIncidenceIndex:
             assert set(fan._memo["maximal_dets"]) == {c for c in maximal if len(c) == rank}
 
 
+class TestMaximalOf:
+    """maximal_of against the brute-force oracle, on the equal-size path and the containment pass."""
+
+    @staticmethod
+    def _check(keys, rank=4):
+        refs = [fan_module.ConeRef(key, len(key), rank - len(key)) for key in keys]
+        got = fan_module.maximal_of(refs)
+        expected = sorted(set(oracles.maximal_bruteforce(keys)), key=lambda key: (len(key), key))
+        assert [c.ray_indices for c in got] == expected, keys
+        assert all(any(c is ref for ref in refs) for c in got)
+
+    @staticmethod
+    def _subset(rng, rays, size):
+        return tuple(sorted(rng.sample(rays, size)))
+
+    def test_equal_size_generators_with_duplicates(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            size = rng.randint(1, 4)
+            keys = [self._subset(rng, range(6), size) for _ in range(rng.randint(1, 8))]
+            keys += rng.choices(keys, k=rng.randint(1, 3))
+            keys += [()] * rng.randint(0, 2)
+            rng.shuffle(keys)
+            self._check(keys)
+
+    def test_mixed_sizes_with_a_face_of_a_generator(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            keys = [self._subset(rng, range(7), rng.randint(2, 4))
+                    for _ in range(rng.randint(1, 6))]
+            outer = rng.choice(keys)
+            keys.append(self._subset(rng, outer, rng.randint(1, len(outer) - 1)))
+            keys += rng.choices(keys, k=rng.randint(0, 2)) + [()] * rng.randint(0, 1)
+            rng.shuffle(keys)
+            self._check(keys)
+
+    @pytest.mark.parametrize("keys", [[], [()], [(), ()]])
+    def test_zero_cone_alone(self, keys):
+        self._check(keys)
+
+    def test_rank_zero(self):
+        self._check([()], rank=0)
+        fan = build_fan(0, [], [()])
+        assert [c.ray_indices for c in fan.maximal_cones] == [()]
+
+
 class TestConeLookup:
     """cone, has_cone, zero_cone and cones agree with brute-force faces, on fresh fans.
 

@@ -108,11 +108,12 @@ def _built_levels(fan, policy):
 class TestLevelsOnDemand:
     def test_depth_of_stops_at_the_first_level_containing_the_relation(self):
         # (1, 1, 1, 1) is supported on the star of every codim-1 cone of p3,
-        # so its depth is certified: level 1 and its star kernels are never built.
+        # so its depth is certified: level 1 and its star kernels are never
+        # built, and neither is the zero level 0.
         fan = build_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
                         [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
         assert filtration(fan, INC).depth_of((1, 1, 1, 1)) == 1
-        assert _built_levels(fan, INC) == {0}
+        assert _built_levels(fan, INC) == set()
         assert not any(key[0] == "kernel" for key in fan._memo)
         # Without a certificate, depth_of builds exactly the levels up to the depth.
         fan = p2_refinement_fan()
@@ -293,7 +294,7 @@ class TestDepthBySupportCertificate:
         fan = _fresh(catalog_entry("p3").fan)
         for v in ((1, 0, 0, 0), (1, 1, 1, 0), (1, 1, 1, 2)):
             assert filtration(fan, INC).depth_of(v) is None
-        assert _built_levels(fan, INC) == {0}
+        assert _built_levels(fan, INC) == set()
 
     def test_certificate_reads_each_distinct_support_once(self, monkeypatch):
         stars = _spy(monkeypatch, "_star")

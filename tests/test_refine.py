@@ -6,10 +6,10 @@ import fanlat.refine as refine_module
 import oracles
 from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError, NotARelationError
-from fanlat.fan import build_fan, is_complete, star, star_sets
+from fanlat.fan import build_fan, is_complete, primitive, star, star_sets
 from fanlat.filtration import _star_masks, filtration, local_decompose
 from fanlat.lattices import _REL_LATTICE, SupportPolicy, rel_lattice, rel_lattice_star
-from fanlat.refine import (DepthRecord, conjecture_scan, random_stellar_draw,
+from fanlat.refine import (DepthRecord, compare_depths, conjecture_scan, random_stellar_draw,
                            refinement_injection, stellar_subdivide)
 
 INC = SupportPolicy.INCLUSIVE
@@ -346,6 +346,17 @@ class TestRefinementInjection:
                 padded = refinement_injection(fan, tr.after, rec.relation)
                 assert rec.depth_after == filtration(tr.after, INC).depth_of(padded)
 
+    def test_depths_of_the_wrong_length_are_rejected(self):
+        fan = catalog_entry("p2xp1").fan
+        refined = stellar_subdivide(fan, fan.cone((0, 3)), (1, 0, 1))
+        basis = rel_lattice(fan).basis_rows
+        assert len(basis) == 2
+        for depths in ([1], [1, 1, 1], []):
+            with pytest.raises(ValueError, match="basis relations"):
+                compare_depths(fan, refined, INC, depths)
+        ray_map, records = compare_depths(fan, refined, INC, [1, 1])
+        assert [rec.relation for rec in records] == list(basis)
+
     def test_rank_grows_by_new_rays(self):
         rng = random.Random(12)
         for entry in catalog():
@@ -454,7 +465,78 @@ class TestConjectureScan:
             "trial 0", "trial 1", "trial 2"]
         assert all("subdivision rejected" in rec.getMessage() for rec in caplog.records)
 
+    def test_negative_seed_rejected(self):
+        # random.Random seeds from abs(seed), so -7 would repeat the scan of 7.
+        with pytest.raises(ValueError, match="nonnegative"):
+            conjecture_scan(catalog_entry("p2").fan, INC, 1, seed=-7)
+
+    def test_repeats_share_the_first_trace_of_their_draw(self, monkeypatch):
+        real = refine_module.compare_depths
+        compared = []
+
+        def spy(before, after, *args):
+            compared.append(after)
+            return real(before, after, *args)
+
+        monkeypatch.setattr(refine_module, "compare_depths", spy)
+        fan = catalog_entry("p2").fan
+        traces = conjecture_scan(fan, INC, 240, seed=2)
+        assert len(traces) == 240
+        first = {}
+        for tr in traces:
+            f = first.setdefault((tr.subdivided_cone.ray_indices, tr.new_ray), tr)
+            assert tr.before is fan
+            for name in ("after", "subdivided_cone", "new_ray", "ray_map", "records"):
+                assert getattr(tr, name) is getattr(f, name), (tr.trial_index, name)
+        # One depth comparison per distinct draw, on that draw's refined fan.
+        assert compared == [f.after for f in first.values()]
+        assert len(first) < len(traces)
+
     def test_requires_complete_fan(self):
         from fanlat.errors import NotCompleteError
         with pytest.raises(NotCompleteError):
             conjecture_scan(catalog_entry("halfplane2").fan, INC, 1, seed=0)
+
+
+def _reference_draw(fan, rng):
+    """random_stellar_draw written out plainly: the coefficients first, then one sum per coordinate."""
+    candidates = [c for c in fan.cones if c.dim >= 2]
+    if not candidates:
+        return None
+    cone = rng.choice(candidates)
+    for _ in range(refine_module._DRAW_RETRIES):
+        coeffs = [rng.choice((1, 2, 3)) for _ in cone.ray_indices]
+        vec = tuple(sum(c * fan.rays[i][j] for c, i in zip(coeffs, cone.ray_indices))
+                    for j in range(fan.rank))
+        w = primitive(vec)
+        if w not in fan.rays:
+            return cone, w
+    return None
+
+
+def _assert_draws_follow_the_reference(fan, seeds):
+    """Same draw and the same generator state after it."""
+    for seed in seeds:
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert random_stellar_draw(fan, rng) == _reference_draw(fan, ref_rng), (fan, seed)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("name", ["p2", "p3", "p2xp1", "sigma_c", "blowup_p2"])
+def test_draws_follow_the_reference_stream(name):
+    chain_rng = random.Random(name)
+    fan = catalog_entry(name).fan
+    for _ in range(4):  # the catalog fan and a grown chain
+        _assert_draws_follow_the_reference(fan, range(60))
+        fan = stellar_subdivide(fan, *random_stellar_draw(fan, chain_rng))
+
+
+def test_retried_draws_follow_the_reference_stream(monkeypatch):
+    # On a fan no sum lands on a ray; on this trusted overlap, ray 2 lies
+    # inside cone (0, 1), so equal weights there make the draw retry.
+    fan = build_fan(2, [(1, 0), (0, 1), (1, 1), (-1, -1)], [(0, 1), (1, 2), (0, 3), (1, 3)],
+                    trust=True)
+    sums = []
+    monkeypatch.setattr(refine_module, "primitive", lambda v: sums.append(v) or primitive(v))
+    _assert_draws_follow_the_reference(fan, range(200))
+    assert len(sums) > 200
