@@ -153,16 +153,17 @@ class Fan:
     the face map's, so reading them builds nothing. What also reads the rays
     lives in the fan's private cache: the ray matrix, the determinant
     of the sorted rays of each full-dimensional maximal cone (read by
-    is_complete), completeness, the ray lattice, the relation lattice,
-    star kernels (keyed by their sorted support, so cones and policies
-    with one support share one kernel), filtration levels (which stop
-    at the cached relation lattice) and the factored ray-star system
-    that local_decompose solves against. A new fan's private cache starts
-    empty, except that build_fan stores the determinants of its
-    simplicial check. A stellar subdivision's starts empty too; it is
-    built on the one face map of its subdivided cone, which its
-    siblings at that cone share, and a unimodular image on its fan's
-    face map.
+    is_complete), completeness, the ray lattice, star kernels (keyed by
+    their sorted support, so cones and policies with one support share
+    one kernel, and the relation lattice is the kernel of every ray),
+    filtration levels (which stop at the relation lattice) and the
+    factored ray-star system that local_decompose solves against. Other
+    modules reach the two caches through _cached and _face_cached
+    alone. A new fan's private cache starts empty, except that
+    build_fan stores the determinants of its simplicial check. A
+    stellar subdivision's starts empty too; it is built on the one face
+    map of its subdivided cone, which its siblings at that cone share,
+    and a unimodular image on its fan's face map.
     """
 
     __slots__ = ("rank", "rays", "simplicial", "name", "asserted_complete",

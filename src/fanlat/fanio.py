@@ -10,7 +10,8 @@ Schema problems, and files that cannot be read or written, raise
 FanFileError (CLI exit 2); geometric validation problems surface from
 build_fan as FanValidationError (exit 1). Reports serialize unbounded
 integers (matrix entries, lattice indices) as decimal strings so
-round-trips are lossless through any JSON parser.
+round-trips are lossless through any JSON parser; the strings are exact
+past the interpreter's int/str digit limit too, which is left as it is.
 
 Every JSON file fanlat writes, reports and fan files alike, goes through
 dump_report. Its text is exactly `json.dumps(obj, indent=2)` plus a
@@ -96,6 +97,8 @@ def load_fan(path: str, trust: bool = False) -> Fan:
         raise FanFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FanFileError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer beyond the int/str digit limit, or bad UTF-8
+        raise FanFileError(f"cannot read {path}: {exc}") from exc
     return fan_from_dict(data, trust=trust)
 
 
@@ -130,12 +133,35 @@ def save_fan(fan: Fan, path: str) -> None:
 
 # Report encoding helpers: unbounded integers go out as decimal strings.
 
+_PIECE_DIGITS = 640  # the lowest int/str digit limit Python allows
+_PIECE = 10 ** _PIECE_DIGITS
+
+
+def _decimal(x: int) -> str:
+    """The exact decimal text of x, however many digits it has.
+
+    str(x) refuses an int with more digits than the interpreter's
+    process-wide limit (sys.get_int_max_str_digits()). Past it, x is
+    written in pieces of 640 digits, which every allowed limit admits.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    sign, x = ("-", -x) if x < 0 else ("", x)
+    pieces = []
+    while x >= _PIECE:
+        x, low = divmod(x, _PIECE)
+        pieces.append(str(low).zfill(_PIECE_DIGITS))
+    return sign + str(x) + "".join(reversed(pieces))
+
+
 def enc_int(x: Optional[int]) -> str:
-    return "infinite" if x is None else str(x)
+    return "infinite" if x is None else _decimal(x)
 
 
 def enc_vector(v) -> list[str]:
-    return [str(x) for x in v]
+    return [_decimal(x) for x in v]
 
 
 def enc_basis(rows) -> list[list[str]]:

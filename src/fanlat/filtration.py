@@ -20,11 +20,11 @@ skip work: on a simplicial fan a codim-0 cone's star kernel is zero
 simplicial fan is therefore zero, so a depth query for a nonzero vector
 starts at level 1 and does not build level 0; a level that
 gains no generator is the level below it, which makes level n always
-level n-1; a level stops at the relation lattice L_rel when that is
-cached on the fan; and a depth query answers k without building level
-k when the relation lies in no level below k and its support fits the
-star set of a codim-k cone (the star's rays under the inclusive policy,
-those outside the cone under the exclusive one). The star kernel of
+level n-1; a level stops at the relation lattice L_rel; and a depth
+query answers k without reading level k when the relation lies in no
+level below k and its support fits the star set of a codim-k cone (the
+star's rays under the inclusive policy, those outside the cone under
+the exclusive one). The star kernel of
 that cone is every relation supported on its star set, and it lies
 inside level k, so the support certificate is exact.
 
@@ -34,10 +34,11 @@ Algebraic Number Theory*, section 2.4), so equality is a comparison of
 bases. A level whose level below equals L_rel is that level, and reads
 no star set or kernel. Otherwise each distinct support's kernel enters
 a running Hermite sum, and the level is L_rel as soon as that sum is;
-the supports after it are not read. FiltrationProfile.levels computes
-L_rel first; a depth query never reads a level above its answer, so it
-does not, and without L_rel the running sum takes every kernel. The
-contributing cones of a level are kept apart from it: a cone's
+the supports after it are not read. L_rel is the star kernel of every
+ray (lattices.rel_lattice), so building any level computes it. What an
+earlier call left cached changes no step: a level and a depth take one
+path, whichever call comes first. The contributing cones of a level
+are kept apart from it: a cone's
 star-kernel rank is the rank of its support's cached kernel, so listing
 them builds no level.
 
@@ -60,8 +61,7 @@ from .errors import (InternalCheckError, NotARelationError, NotCompleteError,
 from .fan import ConeRef, Fan, is_complete, star_sets
 from .intlin import (ColumnFactor, Sublattice, _hermite, factor_columns,
                      lattice_equal, member, solve_factored)
-from .lattices import (RelLattice, SupportPolicy, _cached_rel_lattice, _star_kernel,
-                       rel_lattice, star_supports)
+from .lattices import RelLattice, SupportPolicy, _star_kernel, rel_lattice, star_supports
 
 
 @dataclass(frozen=True)
@@ -70,21 +70,20 @@ class FiltrationProfile:
 
     contributing[k] lists (cone, star-kernel rank) for the cones of
     codimension exactly k whose star kernel is nonzero; it is not
-    cached, but the kernels it reads are. Each level is
-    built on first use from the level below it and cached on the fan:
-    levels and level_ranks compute the relation lattice and then build
-    every level, each one above the first that equals the relation
-    lattice for free; level(k) builds the levels up to k, while
-    depth_of stops at the first level that contains the relation and
-    never computes the relation lattice. On a simplicial fan level 0 is
-    zero, so depth_of starts a nonzero vector at level 1 and does not
-    build level 0 for it (building level 1 builds level 0 below it).
-    Before it builds a level k >= 1 that is not cached yet, depth_of
-    tests the relation's support against the distinct star supports of
-    the codim-k cones (int bitmasks, cached on the fan's face map per
+    cached, but the kernels it reads are. Each level is built on first
+    use from the level below it, stops at the relation lattice and is
+    cached on the fan: levels and level_ranks build every level, each
+    one above the first that equals the relation lattice for free;
+    level(k) builds the levels up to k, while depth_of stops at the
+    first level that contains the relation. On a simplicial fan level 0
+    is zero, so depth_of starts a nonzero vector at level 1 and does
+    not build level 0 for it (building level 1 builds level 0 below
+    it). At each k >= 1, before it reads level k, depth_of tests the
+    relation's support against the distinct star supports of the
+    codim-k cones (int bitmasks, cached on the fan's face map per
     policy and k); a fit answers k for a relation and None for a vector
-    that is not one, and level k is not built. Levels that are cached already are read by
-    membership alone.
+    that is not one, and level k is not read. It takes these steps
+    whichever levels are cached already.
     """
 
     fan: Fan
@@ -92,8 +91,6 @@ class FiltrationProfile:
 
     @property
     def levels(self) -> tuple[Sublattice, ...]:
-        # The relation lattice first, so that the levels stop at it.
-        rel_lattice(self.fan)
         return tuple(self.level(k) for k in range(self.fan.rank + 1))
 
     def level(self, k: int) -> Sublattice:
@@ -114,11 +111,10 @@ class FiltrationProfile:
         # level 1; level 0 of another fan is read without a certificate.
         start = 1 if support and fan.simplicial else 0
         for k in range(start, fan.rank + 1):
-            if k and ("level", policy, k) not in fan._memo:
-                if any(not (support & ~mask) for mask in _star_masks(fan, policy, k)):
-                    # Every level lies in the relation lattice, so a vector
-                    # that is not a relation is in none of them.
-                    return None if any(fan.ray_matrix().mul_vector(relation)) else k
+            if k and any(support | mask == mask for mask in _star_masks(fan, policy, k)):
+                # Every level lies in the relation lattice, so a vector
+                # that is not a relation is in none of them.
+                return None if any(fan.ray_matrix().mul_vector(relation)) else k
             if member(relation, self.level(k)):
                 return k
         return None
@@ -168,15 +164,13 @@ def _level(fan: Fan, policy: SupportPolicy, k: int) -> Sublattice:
 
 
 def _build_level(fan: Fan, policy: SupportPolicy, k: int) -> Sublattice:
-    """Level k-1 plus the star kernels of the codim-k cones, stopping at a cached L_rel."""
+    """Level k-1 plus the star kernels of the codim-k cones, stopping at L_rel."""
     m = len(fan.rays)
     below = _level(fan, policy, k - 1) if k else Sublattice(m)
     # Levels lie inside the relation lattice, so one that equals it is
-    # every level above it. Read only when cached: a depth query must not
-    # pay for the relation lattice.
-    rel = _cached_rel_lattice(fan)
-    target = rel.sublattice if rel is not None else None
-    if target is not None and below == target:
+    # every level above it.
+    target = rel_lattice(fan).sublattice
+    if below == target:
         return below
     # A running canonical sum, which stops reading kernels once it is the
     # relation lattice; canonical bases are unique, so the sum is the one
@@ -187,8 +181,7 @@ def _build_level(fan: Fan, policy: SupportPolicy, k: int) -> Sublattice:
         if kernel.rank:
             rows = [row for row in _hermite(rows + list(kernel.basis_rows), m) if any(row)]
             grown = True
-            if (target is not None and len(rows) == target.rank
-                    and tuple(map(tuple, rows)) == target.basis_rows):
+            if len(rows) == target.rank and tuple(map(tuple, rows)) == target.basis_rows:
                 return target
     return Sublattice._from_canonical(m, rows) if grown else below
 

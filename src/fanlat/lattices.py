@@ -15,10 +15,15 @@ fan's face map. A star kernel depends on its
 support alone, the sorted rays it may touch, and not on the cone or the
 policy that named it. So it is cached on the fan under ("kernel",
 support): cones with equal star sets share one kernel, and so do the two
-policies where their supports coincide. The kernel of a support's rays
-comes from intlin's one kernel routine, a sweep over the rays from last
-to first, and is zero-extended to the fan's rays. Kernels are cached per
-fan only: a stellar subdivision is a new fan and builds its own.
+policies where their supports coincide. The relation lattice is the
+star kernel of every ray, the star of the zero cone, and the relations
+among a cone's own rays are the kernel of its rays, so they are cached
+under the same kind of key; every relation lattice over a sorted set of
+the fan's rays has one entry. The kernel of a support's rays comes from
+intlin's one kernel routine, a sweep over the rays from last to first,
+and is zero-extended to the fan's rays, which the kernel of every ray
+needs no more. Kernels are cached per fan only: a stellar subdivision is
+a new fan and builds its own.
 """
 
 from __future__ import annotations
@@ -92,33 +97,28 @@ def ray_lattice(fan: Fan) -> RayLattice:
     return fan._cached("ray_lattice", build)
 
 
-_REL_LATTICE = "rel_lattice"
-
-
 def rel_lattice(fan: Fan) -> RelLattice:
     """Kernel of the full ray matrix, labeled by the fan's ray indices.
 
-    Computed once per fan and cached on it.
+    It is the star kernel of every ray, the star of the zero cone, and
+    shares that kernel's cache entry on the fan.
     """
-    return fan._cached(_REL_LATTICE, lambda: RelLattice(
-        ray_labels=tuple(range(len(fan.rays))),
-        sublattice=integer_kernel(fan.ray_matrix())))
-
-
-def _cached_rel_lattice(fan: Fan) -> Optional[RelLattice]:
-    """rel_lattice(fan) if it is cached already, else None; computes nothing."""
-    return fan._memo.get(_REL_LATTICE)
+    return _star_kernel(fan, tuple(range(len(fan.rays))))
 
 
 def _embedded_kernel(fan: Fan, support: Sequence[int]) -> Sublattice:
     """Kernel over the given ray subset, zero-extended to global coordinates.
 
     support is sorted, so the zero-extension of the kernel's canonical
-    basis keeps every pivot order and is itself canonical.
+    basis keeps every pivot order and is itself canonical. Over every
+    ray the kernel is in global coordinates already.
     """
     m = len(fan.rays)
+    rows = _kernel_basis([fan.rays[i] for i in support], fan.rank)
+    if len(support) == m:
+        return Sublattice._from_canonical(m, rows)
     gens = []
-    for row in _kernel_basis([fan.rays[i] for i in support], fan.rank):
+    for row in rows:
         vec = [0] * m
         for i, x in zip(support, row):
             vec[i] = x
@@ -172,10 +172,8 @@ def _star_kernel(fan: Fan, support: tuple[int, ...]) -> RelLattice:
 
 
 def rel_lattice_internal(fan: Fan, tau: ConeRef) -> RelLattice:
-    """Relations among tau's own rays, in global ray coordinates."""
-    tau = fan.cone(tau.ray_indices)
-    return RelLattice(ray_labels=tuple(range(len(fan.rays))),
-                      sublattice=_embedded_kernel(fan, tau.ray_indices))
+    """Relations among tau's own rays, in global ray coordinates: the star kernel of tau's rays."""
+    return _star_kernel(fan, fan.cone(tau.ray_indices).ray_indices)
 
 
 def rel_lattice_localized(fan: Fan, tau: ConeRef) -> RelLattice:

@@ -9,6 +9,7 @@ that is not a package error is a bug and exits 3 with one line.
 
 import copy
 import json
+import math
 import random
 
 import pytest
@@ -132,9 +133,9 @@ def _raise(exc):
 
 
 @pytest.mark.parametrize("module, name, exc", [
-    (lattices_module, "integer_kernel", ValueError("ambient rank mismatch")),
-    (lattices_module, "integer_kernel", TypeError("unsupported operand")),
-    (lattices_module, "integer_kernel", KeyError("kernel")),
+    (lattices_module, "_kernel_basis", ValueError("ambient rank mismatch")),
+    (lattices_module, "_kernel_basis", TypeError("unsupported operand")),
+    (lattices_module, "_kernel_basis", KeyError("kernel")),
     (cli_module, "dump_report", TypeError("not serializable")),
 ])
 def test_internal_exceptions_exit_3_with_one_line(tmp_path, capsys, monkeypatch,
@@ -196,3 +197,56 @@ def test_localize_on_trusted_input_that_is_not_a_fan_exits_1(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: star ray 2 lies in the span of the cone (0,): not a fan\n"
+
+
+# Python refuses int/str conversions past sys.get_int_max_str_digits() digits
+# (4,300 by default); json.load and str() both hit that limit.
+
+
+def _parse_decimal(text):
+    """The int of a decimal string of any length, read in pieces under the digit limit."""
+    digits = text.lstrip("-")
+    value = 0
+    for i in range(0, len(digits), 600):
+        piece = digits[i:i + 600]
+        value = value * 10 ** len(piece) + int(piece)
+    return -value if text.startswith("-") else value
+
+
+@pytest.mark.parametrize("text", [
+    # A 5,000-digit ray entry, which json.load refuses to convert.
+    b'{"rank": 2, "rays": [[1' + b"0" * 4999 + b', 0], [0, 1], [-1, -1]], '
+    b'"maximal_cones": [[0, 1], [1, 2], [2, 0]]}',
+    # Bytes that are not UTF-8.
+    b'{"rank": 2, "rays": [[1, 0]], "maximal_cones": [], "metadata": {"name": "\xff"}}',
+], ids=["digit-limit", "not-utf8"])
+def test_fan_file_that_json_cannot_decode_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "fan.json"
+    path.write_bytes(text)
+    assert main(["relations", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_relation_beyond_the_digit_limit_is_written_exactly(tmp_path, capsys):
+    rng = random.Random(1)
+    a, b, c, d = (rng.getrandbits(8000) | 1 for _ in range(4))
+    rays = [(a, b), (-c, d), (-1, -1)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"rank": 2, "rays": [list(v) for v in rays],
+                                "maximal_cones": [[0, 1], [1, 2], [2, 0]]}))
+    assert main(["relations", str(path), "--trust"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    (row,) = json.loads(out)["relation_lattice"]["basis"]
+    assert max(len(x.lstrip("-")) for x in row) > 4300
+    relation = [_parse_decimal(x) for x in row]
+    assert not any(x.startswith(("0", "-0")) for x in row)
+    assert all(sum(x * v[i] for x, v in zip(relation, rays)) == 0 for i in range(2))
+    # The relations of three vectors in the plane are the multiples of one
+    # primitive vector, the cross product of the rows divided by its gcd.
+    cross = (c + d, a - b, a * d + b * c)
+    g = math.gcd(*cross)
+    assert relation in ([x // g for x in cross], [-x // g for x in cross])

@@ -151,3 +151,22 @@ def test_save_fan_bytes_unchanged(tmp_path, fan):
     saved = tmp_path / "saved.json"
     save_fan(fan, str(saved))
     assert saved.read_bytes() == expected.read_bytes()
+
+
+def test_integers_beyond_the_digit_limit_encode_exactly():
+    """enc_int and enc_vector write any int exactly, without raising the process-wide limit."""
+    limit = 10 ** 640
+    values = [0, 7, -7, limit - 1, limit, -limit, limit + 1, 10 ** 1280 + 3, -(10 ** 9000),
+              3 ** 20000, -(7 ** 12000) - 1, 10 ** 5000 * (10 ** 640 - 1)]
+    for x in values:
+        text = fanio.enc_int(x)
+        digits = text.lstrip("-")
+        assert text.startswith("-") == (x < 0)
+        assert digits == "0" or not digits.startswith("0")
+        # Compare in pieces of 600 digits, each within every allowed limit.
+        value = 0
+        for i in range(0, len(digits), 600):
+            value = value * 10 ** len(digits[i:i + 600]) + int(digits[i:i + 600])
+        assert value == abs(x), len(digits)
+    assert fanio.enc_vector(values) == [fanio.enc_int(x) for x in values]
+    assert fanio.enc_vector((1, -2)) == ["1", "-2"]

@@ -14,7 +14,7 @@ from fanlat.fan import build_fan, star, star_sets
 from fanlat.filtration import (check_generation, depth, filtration,
                                local_decompose)
 from fanlat.intlin import IntMatrix, Sublattice, integer_kernel, lattice_equal, member
-from fanlat.lattices import (SupportPolicy, _cached_rel_lattice, class_group, rel_lattice,
+from fanlat.lattices import (SupportPolicy, class_group, rel_lattice,
                              rel_lattice_star, star_support)
 from fanlat.refine import random_stellar_draw, stellar_subdivide
 
@@ -120,10 +120,12 @@ class TestLevelsOnDemand:
         assert filtration(fan, INC).depth_of((1, 0, 0, 0, 0, 0, 1)) == 1
         assert _built_levels(fan, INC) == {0, 1}
         kernels = {key[1] for key in fan._memo if key[0] == "kernel"}
-        # Level 1 needs the kernel of each ray's star, and no other; the
-        # seven stars have seven distinct ray sets.
-        assert kernels == {star_support(fan, fan.cone((i,)), INC) for i in range(7)}
-        assert len(kernels) == 7
+        # Level 1 reads the relation lattice and the kernels of the rays'
+        # stars, which are seven distinct ray sets, in ray order until their
+        # sum is the relation lattice: the first six reach it.
+        stars = [star_support(fan, fan.cone((i,)), INC) for i in range(7)]
+        assert len(set(stars)) == 7
+        assert kernels == {tuple(range(7)), *stars[:6]}
         fan = hexagon_fan()
         assert filtration(fan, INC).depth_of((2, 0, 0, 1, 2, -1)) is None
         assert _built_levels(fan, INC) == {0, 1, 2}
@@ -283,6 +285,70 @@ class TestDepthBySupportCertificate:
         assert filtration(_fresh(fan), INC).contributing[0]
         self._check_against_levels(fan, 5)
 
+    @staticmethod
+    def _answers(fan, order):
+        """Depths of every basis relation and every level's basis, per policy, in one call order.
+
+        depth-first answers every depth on a fresh fan before it builds a
+        level; levels-first builds every level first; report reads the
+        relation lattice, then per policy the level ranks, check_generation
+        and the depths, as the report command does.
+        """
+        basis = rel_lattice(_fresh(fan)).basis_rows
+        fresh = _fresh(fan)
+        profiles = [filtration(fresh, policy) for policy in (INC, EXC)]
+        depths = {}
+        if order == "depth-first":
+            depths = {p.policy: tuple(map(p.depth_of, basis)) for p in profiles}
+        elif order == "levels-first":
+            for p in profiles:
+                p.levels
+        else:
+            rel_lattice(fresh)
+            for p in profiles:
+                p.level_ranks
+                check_generation(fresh, p.policy)
+                depths[p.policy] = tuple(map(p.depth_of, basis))
+        return {p.policy: (depths.get(p.policy) or tuple(map(p.depth_of, basis)),
+                           tuple(level.basis_rows for level in p.levels)) for p in profiles}
+
+    @pytest.mark.parametrize("fans", [
+        lambda: [entry.fan for entry in catalog()],
+        lambda: _subdivision_chain("p2xp1", 8, steps=4),
+        lambda: _subdivision_chain("p3", 4, steps=4),
+    ], ids=["catalog", "p2xp1-chain", "p3-chain"])
+    def test_answers_do_not_depend_on_call_order(self, fans):
+        for fan in fans():
+            first = self._answers(fan, "depth-first")
+            assert self._answers(fan, "levels-first") == first, fan
+            assert self._answers(fan, "report") == first, fan
+            for policy in (INC, EXC):
+                assert first[policy][0] == tuple(
+                    depth(_fresh(fan), r, policy) for r in rel_lattice(fan).basis_rows), fan
+        fan = _fresh(catalog_entry("p2xp1").fan)
+        for policy in (INC, EXC):
+            filtration(fan, policy).depth_of((1, 1, 1, 0, 0))
+            depth(fan, (0, 0, 0, 1, 1), policy)
+        assert filtration(fan, INC).levels == filtration(_fresh(fan), INC).levels
+
+    def test_relation_lattice_is_the_kernel_of_a_star_holding_every_ray(self):
+        # Every ray of p2 has all three rays in its star, whichever is asked first.
+        for star_first in (True, False):
+            fan = _fresh(catalog_entry("p2").fan)
+            stars = [rel_lattice_star(fan, fan.cone((i,)), INC) for i in range(3) if star_first]
+            rel = rel_lattice(fan)
+            assert all(rel is rel_lattice_star(fan, fan.cone((i,)), INC) for i in range(3))
+            assert all(s is rel for s in stars)
+        found = 0
+        for entry in catalog():
+            fan = _fresh(entry.fan)
+            for cone in fan.cones[1:]:
+                for policy in (INC, EXC):
+                    if star_support(fan, cone, policy) == tuple(range(len(fan.rays))):
+                        assert rel_lattice_star(fan, cone, policy) is rel_lattice(fan)
+                        found += 1
+        assert found
+
     def test_relation_outside_every_codim1_star(self):
         # p2xp1's base relation fits no exclusive codim-1 star, so level 1 is
         # built and rejects it; its depth 2 is then certified at codim 2.
@@ -349,7 +415,7 @@ def _oracle_supports(fan, policy, k):
 
 
 class TestLevelsStopAtTheRelationLattice:
-    """With the relation lattice cached, levels read no star kernel once their sum reaches it."""
+    """Levels read no star kernel once their sum reaches the relation lattice."""
 
     @staticmethod
     def _check(fan, reads):
@@ -421,15 +487,6 @@ class TestLevelsStopAtTheRelationLattice:
         assert len(chain[-1].rays) == 25
         counts = [self._check(fan, reads) for fan in chain[::4] + chain[-1:]]
         assert all(map(sum, zip(*counts)))
-
-    def test_depth_queries_do_not_compute_the_relation_lattice(self):
-        fan = _fresh(catalog_entry("p2xp1").fan)
-        for policy in (INC, EXC):
-            filtration(fan, policy).depth_of((1, 1, 1, 0, 0))
-            depth(fan, (0, 0, 0, 1, 1), policy)
-        assert _cached_rel_lattice(fan) is None
-        assert filtration(fan, INC).levels == filtration(_fresh(fan), INC).levels
-        assert _cached_rel_lattice(fan) == rel_lattice(fan)
 
 
 class TestContributingRanks:

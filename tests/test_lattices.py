@@ -407,6 +407,9 @@ class TestStarKernelSharing:
             supports = {star_support(fan, cone, policy)
                         for cone in fan.cones if cone.ray_indices and (cone.codim or not fan.simplicial)
                         for policy in (INC, EXC)}
+            # The relation lattice is the kernel over every ray, which the
+            # levels stop at.
+            supports.add(tuple(range(len(fan.rays))))
             # Levels stop at the relation lattice, so they build a kernel for
             # some supports only, each one under its support's key; the
             # contributing cones read the rank of every support's kernel,

@@ -8,7 +8,7 @@ from fanlat.corpus import catalog, catalog_entry
 from fanlat.errors import FanValidationError, NotARelationError
 from fanlat.fan import build_fan, is_complete, primitive, star, star_sets
 from fanlat.filtration import _star_masks, filtration, local_decompose
-from fanlat.lattices import _REL_LATTICE, SupportPolicy, rel_lattice, rel_lattice_star
+from fanlat.lattices import SupportPolicy, rel_lattice, rel_lattice_star
 from fanlat.refine import (DepthRecord, compare_depths, conjecture_scan, random_stellar_draw,
                            refinement_injection, stellar_subdivide)
 
@@ -240,7 +240,7 @@ def _skeleton_keys(fan):
     return [key for key in fan._cones.memo if key[0] == "subdivision"]
 
 
-_GEOMETRIC = ("kernel", "level", "maximal_dets", _REL_LATTICE, "ray_star_system")
+_GEOMETRIC = ("kernel", "level", "maximal_dets", "ray_star_system")
 
 
 def _geometric_keys(fan):
@@ -267,7 +267,9 @@ class TestSharedFaceMap:
             assert is_complete(refined)
             for policy in (INC, EXC):
                 filtration(refined, policy).levels
-            assert {"maximal_dets", _REL_LATTICE} <= set(refined._memo)
+            # The relation lattice is the star kernel of every ray.
+            full = ("kernel", tuple(range(len(refined.rays))))
+            assert {"maximal_dets", full} <= set(refined._memo)
             siblings.append(refined)
         assert len({id(fan._cones) for fan in siblings}) == 1
         assert siblings[0]._cones is not parent._cones
